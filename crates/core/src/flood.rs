@@ -79,7 +79,20 @@ impl FloodOutcome {
 #[must_use]
 pub fn theorem_horizon(graph: &Graph, source: NodeId, p: f64) -> usize {
     let d = traversal::reachable_radius(graph, source);
-    let n = graph.node_count().max(2);
+    horizon_for_radius(d, graph.node_count(), p)
+}
+
+/// [`theorem_horizon`] for a source radius `d` already known — the
+/// fast-path plans read it off the BFS tree they build anyway
+/// ([`CsrTree::depth`](randcast_graph::CsrTree::depth)) instead of
+/// traversing the graph a second time.
+///
+/// # Panics
+///
+/// Panics if `p ∉ [0, 1)`.
+#[must_use]
+pub fn horizon_for_radius(d: usize, n: usize, p: f64) -> usize {
+    let n = n.max(2);
     chernoff::flood_horizon(d, p, 4.0 * (n as f64).ln()).max(1)
 }
 

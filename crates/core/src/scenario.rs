@@ -27,7 +27,7 @@ use rand::SeedableRng as _;
 
 use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::{FaultConfig, FaultKind};
-use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
+use randcast_engine::flood_fast::FastFlood;
 use randcast_engine::kernel::{FaultModel, FaultTapes, FlipFault, LieOrJamFault, LANES};
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
@@ -38,7 +38,7 @@ use randcast_graph::{generators, CsrGraph, Graph};
 use randcast_stats::chernoff;
 
 use crate::decay::{run_decay, DecayConfig};
-use crate::flood::{theorem_horizon, FloodPlan, FloodVariant};
+use crate::flood::{horizon_for_radius, theorem_horizon, FloodPlan, FloodVariant};
 use crate::kucera::{FailureBehavior, KuceraBroadcast, KuceraError};
 use crate::radio_robust::ExpandedPlan;
 use crate::radio_sched::greedy_schedule;
@@ -670,16 +670,11 @@ impl Scenario {
                 PlanKind::SimpleFast(simple_fast_plan(&graph, self.fault, model, phase_len))
             }
             (Algorithm::Flood { horizon_scale }, Model::Mp) => {
-                let horizon = theorem_horizon(&graph, source, p) * horizon_scale;
                 if graph.node_count() >= FLOOD_FAST_MIN_N {
                     // Statistically equivalent fast path for large n.
-                    PlanKind::FloodFast(FastFlood::new(
-                        CsrGraph::from(graph.as_ref()),
-                        source,
-                        horizon,
-                        FastFloodVariant::Tree,
-                    ))
+                    PlanKind::FloodFast(flood_fast_plan(&graph, p, horizon_scale))
                 } else {
+                    let horizon = theorem_horizon(&graph, source, p) * horizon_scale;
                     PlanKind::Flood(FloodPlan::with_horizon(
                         &graph,
                         source,
@@ -689,13 +684,7 @@ impl Scenario {
                 }
             }
             (Algorithm::FloodFast { horizon_scale }, Model::Mp) => {
-                let horizon = theorem_horizon(&graph, source, p) * horizon_scale;
-                PlanKind::FloodFast(FastFlood::new(
-                    CsrGraph::from(graph.as_ref()),
-                    source,
-                    horizon,
-                    FastFloodVariant::Tree,
-                ))
+                PlanKind::FloodFast(flood_fast_plan(&graph, p, horizon_scale))
             }
             (Algorithm::Kucera, Model::Mp) => {
                 PlanKind::Kucera(KuceraBroadcast::new(&graph, source, p)?)
@@ -714,13 +703,13 @@ impl Scenario {
                 })
             }
             (Algorithm::Decay { epoch_factor }, Model::Radio) => {
-                let d = randcast_graph::traversal::radius_from(&graph, source);
-                let mut cfg = DecayConfig::classical(graph.node_count(), d);
-                cfg.epochs *= epoch_factor;
                 if graph.node_count() >= RADIO_FAST_MIN_N {
                     // Statistically equivalent fast path for large n.
-                    PlanKind::DecayFast(decay_fast_plan(&graph, cfg))
+                    PlanKind::DecayFast(decay_fast_plan(&graph, epoch_factor, true))
                 } else {
+                    let d = randcast_graph::traversal::radius_from(&graph, source);
+                    let mut cfg = DecayConfig::classical(graph.node_count(), d);
+                    cfg.epochs *= epoch_factor;
                     PlanKind::Decay(cfg)
                 }
             }
@@ -728,10 +717,7 @@ impl Scenario {
                 // Defined on disconnected graphs: parameterize by the
                 // source component's radius (equal to the paper's `D`
                 // on connected graphs).
-                let d = randcast_graph::traversal::reachable_radius(&graph, source);
-                let mut cfg = DecayConfig::classical(graph.node_count(), d);
-                cfg.epochs *= epoch_factor;
-                PlanKind::DecayFast(decay_fast_plan(&graph, cfg))
+                PlanKind::DecayFast(decay_fast_plan(&graph, epoch_factor, false))
             }
             (alg, model) => {
                 return Err(ScenarioError::ModelMismatch {
@@ -773,8 +759,12 @@ impl Scenario {
     /// of this scenario's graph. Graph construction is deterministic per
     /// family spec, so sweeps spanning several fault levels over the
     /// same `(family, seed)` can call [`GraphFamily::build`] once and
-    /// hand each cell a clone instead of rebuilding — at `n = 10⁶` the
-    /// build (edge sampling + CSR sort) dominates sweep setup.
+    /// hand each cell a clone instead of rebuilding — at `n = 10⁶` one
+    /// build (edge sampling + CSR sort, ≈ 0.4 s for `Gnp`, ≈ 0.7 s for
+    /// `RandomGeometric`) costs as much as two or three fast-path plan
+    /// compilations (≈ 0.2–0.3 s each), so rebuilding per cell would
+    /// more than double a `p`-sweep's setup (DESIGN.md, "Set-up
+    /// path").
     ///
     /// `graph` must be the graph `self.graph.build()` would produce —
     /// the structure is trusted, not re-derived.
@@ -801,11 +791,38 @@ impl Scenario {
     }
 }
 
+/// Compiles the fast-path tree flood for a scenario graph (the source
+/// is always node 0) at `horizon_scale` times the Theorem 3.1 horizon.
+/// One BFS serves both ends: the plan's spanning tree, and through its
+/// depth the source-component radius `D` the horizon needs.
+fn flood_fast_plan(graph: &Graph, p: f64, horizon_scale: usize) -> FastFlood {
+    let tree = CsrGraph::from(graph).bfs_tree(0);
+    let horizon = horizon_for_radius(tree.depth(), graph.node_count(), p) * horizon_scale;
+    FastFlood::from_tree(tree, horizon)
+}
+
 /// Compiles the fast-path Decay kernel for a scenario graph (the
-/// source is always node 0).
-fn decay_fast_plan(graph: &Graph, cfg: DecayConfig) -> FastRadio {
+/// source is always node 0), parameterized by the classical
+/// [`DecayConfig`] with `epoch_factor` times the epochs. `D` is the
+/// source component's radius, taken from one BFS over the CSR the
+/// kernel consumes; `require_connected` keeps the paper's Decay
+/// defined only on graphs connected to the source.
+///
+/// # Panics
+///
+/// Panics if `require_connected` and some node is unreachable from the
+/// source.
+fn decay_fast_plan(graph: &Graph, epoch_factor: usize, require_connected: bool) -> FastRadio {
+    let csr = CsrGraph::from(graph);
+    let (d, reached) = csr.bfs_extent(0);
+    assert!(
+        !require_connected || reached == graph.node_count(),
+        "graph is not connected to the source"
+    );
+    let mut cfg = DecayConfig::classical(graph.node_count(), d);
+    cfg.epochs *= epoch_factor;
     FastRadio::new(
-        CsrGraph::from(graph),
+        csr,
         graph.node(0),
         cfg.total_rounds(),
         FastRadioSchedule::Decay {

@@ -12,9 +12,10 @@
 //!    (`(family, seed)` spec, which pins the built graph exactly) is
 //!    built **once**, in parallel, and shared across all of its cells
 //!    behind an `Arc` via
-//!    [`Scenario::try_prepare_shared`] — at `n = 10⁶` the build
-//!    dominates sweep setup, and a `p`-sweep would otherwise rebuild it
-//!    per cell;
+//!    [`Scenario::try_prepare_shared`] — at `n = 10⁶` one build costs
+//!    two to three plan compilations (≈ 0.4–0.7 s against
+//!    ≈ 0.2–0.3 s per prepare), and a `p`-sweep would otherwise rebuild
+//!    it per cell;
 //! 2. **prepare** — scenario cells compile their plans in parallel;
 //! 3. **execute** — every cell's trials are split into chunks and all
 //!    `(cell, chunk)` tasks are fed to the pool, so the sweep

@@ -55,7 +55,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardView};
-use randcast_graph::{CsrGraph, NodeId};
+use randcast_graph::{CsrGraph, CsrTree, NodeId};
 
 use crate::kernel::{
     lane_popcounts, planes_add_one_masked, planes_assign, planes_eq_mask, planes_gt_mask,
@@ -86,7 +86,7 @@ pub enum FastFloodVariant {
 
 /// A compiled fast-path flooding plan: flat CSR target lists plus a
 /// horizon. The target arrays come straight from the
-/// [`CsrGraph`] / [`CsrTree`](randcast_graph::CsrTree) substrate.
+/// [`CsrGraph`] / [`CsrTree`] substrate.
 #[derive(Clone, Debug)]
 pub struct FastFlood {
     /// `targets[offsets[v]..offsets[v+1]]` are `v`'s transmission
@@ -113,17 +113,39 @@ impl FastFlood {
     /// keep the graph).
     #[must_use]
     pub fn new(csr: CsrGraph, source: NodeId, horizon: usize, variant: FastFloodVariant) -> Self {
-        let n = csr.node_count();
-        let (offsets, targets) = match variant {
-            FastFloodVariant::Graph => csr.into_raw_parts(),
-            FastFloodVariant::Tree => csr.bfs_tree(u32::from(source)).into_children_csr(),
-        };
+        match variant {
+            FastFloodVariant::Graph => {
+                let (offsets, targets) = csr.into_raw_parts();
+                Self::assemble(offsets, targets, u32::from(source), horizon, variant)
+            }
+            FastFloodVariant::Tree => Self::from_tree(csr.bfs_tree(u32::from(source)), horizon),
+        }
+    }
+
+    /// The [`FastFloodVariant::Tree`] plan over an already-built BFS
+    /// tree (rooted at its source, `tree.order()[0]`) — for callers
+    /// that read the horizon off the same tree
+    /// ([`CsrTree::depth`]), so the graph is traversed once.
+    #[must_use]
+    pub fn from_tree(tree: CsrTree, horizon: usize) -> Self {
+        let source = tree.order()[0];
+        let (offsets, targets) = tree.into_children_csr();
+        Self::assemble(offsets, targets, source, horizon, FastFloodVariant::Tree)
+    }
+
+    fn assemble(
+        offsets: Vec<u32>,
+        targets: Vec<u32>,
+        source: u32,
+        horizon: usize,
+        variant: FastFloodVariant,
+    ) -> Self {
         let mut plan = FastFlood {
+            n: offsets.len() - 1,
             offsets,
             targets,
-            source: u32::from(source),
+            source,
             horizon,
-            n,
             variant,
             order: Vec::new(),
         };

@@ -360,28 +360,20 @@ impl Csr<u32> {
     #[must_use]
     pub fn bfs_tree(&self, source: u32) -> CsrTree {
         let n = self.node_count();
-        assert!((source as usize) < n, "source out of range");
-        const UNSET: u32 = u32::MAX;
-        let mut parent = vec![UNSET; n];
-        let mut level = vec![0u32; n];
-        let mut order: Vec<u32> = Vec::new();
-        parent[source as usize] = source;
-        order.push(source);
-        let mut head = 0usize;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            for &v in self.neighbors_of(u as usize) {
-                if parent[v as usize] == UNSET {
-                    parent[v as usize] = u;
-                    level[v as usize] = level[u as usize] + 1;
-                    order.push(v);
-                }
-            }
-        }
+        let Bfs {
+            mut order,
+            parent,
+            level_ends,
+        } = self.bfs(source);
         // The paper's enumeration `v1..vn`: nondecreasing level, ties
-        // broken by node id (matching `SpanningTree::level_order`).
-        order.sort_unstable_by_key(|&v| (level[v as usize], v));
+        // broken by node id (matching `SpanningTree::level_order`). The
+        // FIFO order is already level-monotone, so sorting each level's
+        // slice by id is the whole job.
+        let mut level_start = 0;
+        for &end in &level_ends {
+            order[level_start..end].sort_unstable();
+            level_start = end;
+        }
         let mut degree = vec![0u32; n];
         for (v, &p) in parent.iter().enumerate() {
             if p != UNSET && p as usize != v {
@@ -410,8 +402,69 @@ impl Csr<u32> {
             order,
             child_offsets,
             children,
+            depth: level_ends.len() - 1,
         }
     }
+
+    /// The source component's BFS extent without building a tree:
+    /// `(depth, reached)`, the largest distance from `source` to a
+    /// reachable node (the paper's `D` when the graph is connected) and
+    /// the component size — what [`bfs_tree`](Self::bfs_tree) would
+    /// report as [`CsrTree::depth`] and [`CsrTree::component_size`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source >= n`.
+    #[must_use]
+    pub fn bfs_extent(&self, source: u32) -> (usize, usize) {
+        let Bfs {
+            order, level_ends, ..
+        } = self.bfs(source);
+        (level_ends.len() - 1, order.len())
+    }
+
+    /// FIFO breadth-first search over the source's component.
+    fn bfs(&self, source: u32) -> Bfs {
+        let n = self.node_count();
+        assert!((source as usize) < n, "source out of range");
+        let mut parent = vec![UNSET; n];
+        let mut order: Vec<u32> = vec![source];
+        let mut level_ends = Vec::new();
+        parent[source as usize] = source;
+        let mut head = 0usize;
+        while head < order.len() {
+            let end = order.len();
+            level_ends.push(end);
+            for i in head..end {
+                let u = order[i];
+                for &v in self.neighbors_of(u as usize) {
+                    if parent[v as usize] == UNSET {
+                        parent[v as usize] = u;
+                        order.push(v);
+                    }
+                }
+            }
+            head = end;
+        }
+        Bfs {
+            order,
+            parent,
+            level_ends,
+        }
+    }
+}
+
+/// The parent marker of a node [`Csr::bfs`] has not reached.
+const UNSET: u32 = u32::MAX;
+
+/// One FIFO breadth-first search: the discovery order, each node's
+/// parent ([`UNSET`] outside the component, itself for the source), and
+/// the end of every level's slice of `order` (level `d` is
+/// `order[level_ends[d - 1]..level_ends[d]]`, level 0 starting at 0).
+struct Bfs {
+    order: Vec<u32>,
+    parent: Vec<u32>,
+    level_ends: Vec<usize>,
 }
 
 impl From<&Graph> for CsrGraph {
@@ -455,6 +508,8 @@ pub struct CsrTree {
     child_offsets: Vec<u32>,
     /// Concatenated child lists, ascending per parent.
     children: Vec<u32>,
+    /// Largest BFS level of the component.
+    depth: usize,
 }
 
 impl CsrTree {
@@ -470,6 +525,15 @@ impl CsrTree {
     #[must_use]
     pub fn component_size(&self) -> usize {
         self.order.len()
+    }
+
+    /// The largest BFS level in the source's component: the distance
+    /// from the source to its farthest reachable node, which is the
+    /// paper's `D` on connected graphs (and `traversal::reachable_radius`
+    /// on any graph).
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
     /// The children of node `v` (empty for leaves and for nodes outside
@@ -652,6 +716,33 @@ mod tests {
     }
 
     #[test]
+    fn bfs_tree_order_is_level_then_id_and_depth_is_the_last_level() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(5);
+        for g in [
+            generators::gnp(400, 0.01, &mut rng),
+            generators::random_geometric(400, 0.07, &mut rng),
+            generators::path(9),
+        ] {
+            let csr = CsrGraph::from(&g);
+            let dist = crate::traversal::bfs_distances(&g, g.node(0));
+            let mut expect: Vec<u32> = (0..g.node_count() as u32)
+                .filter(|&v| dist[v as usize] != crate::traversal::UNREACHABLE)
+                .collect();
+            expect.sort_unstable_by_key(|&v| (dist[v as usize], v));
+            let tree = csr.bfs_tree(0);
+            assert_eq!(tree.order(), expect.as_slice());
+            let last = *expect.last().expect("source");
+            assert_eq!(tree.depth(), dist[last as usize]);
+            assert_eq!(csr.bfs_extent(0), (tree.depth(), expect.len()));
+        }
+        let path = CsrGraph::from(&generators::path(9));
+        assert_eq!(path.bfs_tree(0).depth(), 9);
+        assert_eq!(path.bfs_tree(4).depth(), 5);
+    }
+
+    #[test]
     fn single_node_graph() {
         let csr = CsrGraph::from_edges(1, &[]);
         assert_eq!(csr.node_count(), 1);
@@ -659,5 +750,7 @@ mod tests {
         assert!(csr.neighbors_of(0).is_empty());
         let tree = csr.bfs_tree(0);
         assert_eq!(tree.component_size(), 1);
+        assert_eq!(tree.depth(), 0);
+        assert_eq!(csr.bfs_extent(0), (0, 1));
     }
 }

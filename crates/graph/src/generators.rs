@@ -457,9 +457,9 @@ pub fn gnp_connected_edges<S: EdgeSink, R: Rng + ?Sized>(
 /// disconnected** below the connectivity threshold
 /// `radius ≈ √(ln n / (π n))` — the almost-complete broadcast regime.
 ///
-/// Neighbor search uses a grid of buckets with cell width `≥ radius`,
-/// so only the 3×3 surrounding cells are scanned per node: expected
-/// `O(n + m)` overall instead of the all-pairs `O(n²)`.
+/// Neighbor search uses a grid of cells of width `≥ radius`, so only
+/// the 3×3 surrounding cells are scanned per node: expected `O(n + m)`
+/// overall instead of the all-pairs `O(n²)`.
 ///
 /// # Panics
 ///
@@ -471,7 +471,10 @@ pub fn random_geometric<R: Rng + ?Sized>(n: usize, radius: f64, rng: &mut R) -> 
 
 /// [`random_geometric`], built directly as a [`CsrGraph`] (see
 /// [`gnp_csr`] for the memory story). Draws the same RNG stream as
-/// [`random_geometric`] and produces the identical graph.
+/// [`random_geometric`] and produces the identical graph. The edge
+/// *set* is a pure function of the RNG stream; its emission order is
+/// not part of the contract, and the per-row sort of
+/// [`CsrGraph::from_edges`] makes the CSR byte-identical regardless.
 ///
 /// # Panics
 ///
@@ -488,10 +491,17 @@ pub fn random_geometric_csr<R: Rng + ?Sized>(n: usize, radius: f64, rng: &mut R)
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Streams the edge run of [`random_geometric_csr`] into `sink` —
-/// identical RNG stream and edge sequence. Retains the `O(n)` point
-/// and bucket state (16 bytes per node) but never the edge list, so the
-/// out-of-core build is bounded by nodes, not edges.
+/// Streams the edge run of [`random_geometric_csr`] into `sink` — the
+/// same RNG stream and edge set, each edge once as `(i, j)` with
+/// `i < j`. Emission is cell-major (the points are counting-sorted by
+/// grid cell and each cell's points read their three neighbouring row
+/// ranges contiguously), so the order is not node-major; both
+/// consumers sort every adjacency row ([`CsrGraph::from_edges`] and
+/// [`SpillSink::finalize`](crate::shard::SpillSink::finalize)), so the
+/// CSR and the shard segments are byte-identical to a node-major
+/// emission. Retains the `O(n)` point state (24 bytes per node plus
+/// one offset per cell) but never the edge list, so the out-of-core
+/// build is bounded by nodes, not edges.
 ///
 /// # Errors
 ///
@@ -499,7 +509,8 @@ pub fn random_geometric_csr<R: Rng + ?Sized>(n: usize, radius: f64, rng: &mut R)
 ///
 /// # Panics
 ///
-/// Panics if `n == 0` or `radius` is not a positive finite number.
+/// Panics if `n == 0`, `n` exceeds the `u32` id range, or `radius` is
+/// not a positive finite number.
 pub fn random_geometric_edges<S: EdgeSink, R: Rng + ?Sized>(
     sink: &mut S,
     n: usize,
@@ -507,6 +518,7 @@ pub fn random_geometric_edges<S: EdgeSink, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<(), ShardError> {
     assert!(n >= 1, "random geometric graph needs at least one node");
+    assert!(u32::try_from(n).is_ok(), "node ids must fit in u32");
     assert!(
         radius > 0.0 && radius.is_finite(),
         "radius must be positive and finite"
@@ -520,29 +532,60 @@ pub fn random_geometric_edges<S: EdgeSink, R: Rng + ?Sized>(
     // there — wider cells only enlarge the scanned candidate set.
     let max_side = ((n as f64).sqrt().ceil() as usize).max(1);
     let side = ((1.0 / radius.min(1.0)).floor().max(1.0) as usize).min(max_side);
-    let cell_of = |coord: f64| ((coord * side as f64) as usize).min(side - 1);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); side * side];
-    for (i, &(x, y)) in points.iter().enumerate() {
-        buckets[cell_of(y) * side + cell_of(x)].push(i as u32);
+    let cell_of = |(x, y): (f64, f64)| {
+        let axis = |coord: f64| ((coord * side as f64) as usize).min(side - 1);
+        axis(y) * side + axis(x)
+    };
+    // Counting sort into one flat cell-major array: cell `c` (row-major,
+    // `c = cy·side + cx`) owns `sites[start[c]..start[c + 1]]`, ids
+    // ascending. Adjacent cells of one grid row are adjacent runs, so a
+    // point's three candidate cells in a row are one contiguous slice.
+    let mut start = vec![0usize; side * side + 1];
+    for &p in &points {
+        start[cell_of(p) + 1] += 1;
     }
-    let r2 = radius * radius;
+    for c in 0..side * side {
+        start[c + 1] += start[c];
+    }
+    let mut sites = vec![Site::default(); n];
+    let mut cursor = start.clone();
     for (i, &(x, y)) in points.iter().enumerate() {
-        let (cx, cy) = (cell_of(x), cell_of(y));
-        for ny in cy.saturating_sub(1)..=(cy + 1).min(side - 1) {
-            for nx in cx.saturating_sub(1)..=(cx + 1).min(side - 1) {
-                for &j in &buckets[ny * side + nx] {
-                    if (j as usize) <= i {
-                        continue; // each pair once, no self-loops
-                    }
-                    let (dx, dy) = (points[j as usize].0 - x, points[j as usize].1 - y);
-                    if dx * dx + dy * dy <= r2 {
-                        sink.edge(i as u64, j as u64)?;
+        let slot = &mut cursor[cell_of((x, y))];
+        sites[*slot] = Site { x, y, id: i as u32 };
+        *slot += 1;
+    }
+    drop((points, cursor));
+    let r2 = radius * radius;
+    for cy in 0..side {
+        let rows = cy.saturating_sub(1)..=(cy + 1).min(side - 1);
+        for cx in 0..side {
+            let (lo, hi) = (cx.saturating_sub(1), (cx + 1).min(side - 1));
+            let c = cy * side + cx;
+            for a in &sites[start[c]..start[c + 1]] {
+                for ny in rows.clone() {
+                    let row = ny * side;
+                    for b in &sites[start[row + lo]..start[row + hi + 1]] {
+                        if b.id <= a.id {
+                            continue; // each pair once, no self-loops
+                        }
+                        let (dx, dy) = (b.x - a.x, b.y - a.y);
+                        if dx * dx + dy * dy <= r2 {
+                            sink.edge(u64::from(a.id), u64::from(b.id))?;
+                        }
                     }
                 }
             }
         }
     }
     Ok(())
+}
+
+/// One point of [`random_geometric_edges`] in its cell-major array.
+#[derive(Clone, Copy, Default)]
+struct Site {
+    x: f64,
+    y: f64,
+    id: u32,
 }
 
 /// A preferential-attachment (Barabási–Albert) graph: node `v ≥ 1`
@@ -1073,6 +1116,84 @@ mod tests {
             }
         }
         assert_eq!(g.edge_count(), expected);
+    }
+
+    /// The all-pairs unit-disk graph on the points `seed` draws — the
+    /// definition the cell-major scan must reproduce.
+    fn brute_force_rgg(n: usize, radius: f64, seed: u64) -> CsrGraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let points: Vec<(f64, f64)> = (0..n)
+            .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+            .collect();
+        let mut edges = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (dx, dy) = (points[j].0 - points[i].0, points[j].1 - points[i].1);
+                if dx * dx + dy * dy <= radius * radius {
+                    edges.push((i as u32, j as u32));
+                }
+            }
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
+    /// `(n, radius)` cases covering every grid regime: side `⌊1/r⌋`,
+    /// side capped at `⌈√n⌉` (tiny radii), a single cell (`r ≥ 1`,
+    /// including `r > 1`), and `n = 1`.
+    const RGG_CASES: [(usize, f64); 8] = [
+        (1, 0.3),
+        (2, 0.5),
+        (150, 0.12),
+        (150, 0.3),
+        (90, 0.02),
+        (200, 0.004),
+        (60, 1.0),
+        (40, 1.7),
+    ];
+
+    #[test]
+    fn random_geometric_csr_matches_brute_force() {
+        for (n, radius) in RGG_CASES {
+            for seed in [71, 72, 73] {
+                let csr = random_geometric_csr(n, radius, &mut SmallRng::seed_from_u64(seed));
+                assert_eq!(
+                    csr,
+                    brute_force_rgg(n, radius, seed),
+                    "n={n} r={radius} seed={seed}"
+                );
+            }
+        }
+        // The capped cases really are capped.
+        assert!((1.0 / 0.02f64).floor() > (90f64).sqrt().ceil());
+    }
+
+    #[test]
+    fn random_geometric_spill_segments_match_the_in_ram_csr() {
+        use crate::shard::{ShardPlan, ShardScratch, SpillSink};
+        for (n, radius) in RGG_CASES {
+            let seed = 74;
+            let expect = random_geometric_csr(n, radius, &mut SmallRng::seed_from_u64(seed));
+            let mut sink = SpillSink::create(
+                crate::shard::default_scratch_dir(),
+                ShardPlan::uniform(n, 3.min(n)),
+            )
+            .expect("create sink");
+            random_geometric_edges(&mut sink, n, radius, &mut SmallRng::seed_from_u64(seed))
+                .expect("stream");
+            let disk = sink.finalize().expect("finalize");
+            assert_eq!(disk.edge_count() as usize, expect.edge_count());
+            let mut scratch = ShardScratch::new();
+            for s in 0..disk.plan().shard_count() {
+                let view = disk.load(s, &mut scratch).expect("load");
+                for v in view.start()..view.end() {
+                    assert_eq!(
+                        view.targets_of(v),
+                        expect.neighbors_of(v as usize),
+                        "n={n} r={radius} node {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
