@@ -28,7 +28,7 @@ use rand::SeedableRng as _;
 use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::FastFlood;
-use randcast_engine::kernel::{FaultModel, FaultTapes, FlipFault, LieOrJamFault, LANES};
+use randcast_engine::kernel::{FaultModel, FlipFault, LieOrJamFault, Omission, LANES};
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
@@ -86,33 +86,37 @@ pub const RADIO_FAST_MIN_N: usize = 4096;
 pub const SIMPLE_FAST_MIN_N: usize = 4096;
 
 /// Node count at or above which [`ShardSpec::Auto`] starts running
-/// batched fast-path trials shard-at-a-time. Below it one frontier pass
-/// touches at most a few hundred MB of CSR, so sharding only adds view
-/// bookkeeping; above it the per-shard working set is what keeps peak
-/// RSS inside [`SHARD_AUTO_BUDGET_BYTES`]. Sharded passes are
-/// **bit-identical** to monolithic ones (the engines pin this), so the
+/// batched fast-path trials shard-at-a-time. Sharded passes are
+/// **bit-identical** to one-shard ones (the engines pin this), so the
 /// threshold is a pure performance knob — crossing it never changes an
 /// outcome vector.
 pub const SHARD_AUTO_MIN_N: usize = 8 << 20;
 
 /// Per-shard adjacency budget (bytes) that [`ShardSpec::Auto`] targets
 /// when it engages: shards are sized so one shard's offsets + targets
-/// stay under this, keeping the hot working set cache- and RSS-friendly
-/// at `n = 10⁷`–`10⁸`.
+/// stay under this, keeping each pass's hot rows together at
+/// `n = 10⁷`–`10⁸`.
 pub const SHARD_AUTO_BUDGET_BYTES: usize = 1 << 30;
 
 /// How a fast-path plan partitions its node range for shard-at-a-time
 /// frontier passes. Sharding never changes outcomes — sharded and
-/// monolithic passes are bit-identical for every plan
+/// one-shard passes are bit-identical for every plan
 /// (`crates/core/tests/shard_equivalence.rs`) — so this knob tunes
-/// locality and peak RSS only. It applies to the batched entry points
+/// locality only. In-RAM shards are zero-copy views of the one CSR the
+/// kernel owns, so sharding cannot lower peak RSS; what it buys is
+/// frontier passes that visit one node range at a time. Measured at
+/// `n = 10⁶` (`G(n,p)`, average degree 8, `p = 0.3`, medians on a
+/// shared 2-vCPU host), 4 shards beat one by 20–40%: graph-variant
+/// flood lane 297 → 213 ms, graph-variant flood batch 6.58 → 5.11 s,
+/// radio lane 1.47 → 1.09 s. [`ShardSpec::Auto`] does not yet use that
+/// win below [`SHARD_AUTO_MIN_N`]. It applies to the batched entry points
 /// ([`PreparedScenario::trial_block`] /
 /// [`PreparedScenario::trial_lane`]); scalar
 /// [`trial`](PreparedScenario::trial) keeps its sequential RNG stream,
 /// whose draw order cannot be sharded without changing it. The same
 /// contract extends to the out-of-core kernels behind the scale
 /// binaries: their store backend (`--store ram|disk`), pipelined
-/// segment prefetch (`--prefetch on|off`), and drain/merge thread
+/// segment prefetch (`--prefetch on|off`), and collision-drain thread
 /// count are all byte-invisible too, so any `threads × shards ×
 /// prefetch × store` combination replays the identical trial.
 /// Deliberately
@@ -503,8 +507,8 @@ pub struct PreparedScenario {
     scenario: Scenario,
     graph: Arc<Graph>,
     plan: PlanKind,
-    /// Resolved from the scenario's [`ShardSpec`] at prepare time;
-    /// `None` means monolithic passes.
+    /// Resolved from the scenario's [`ShardSpec`] at prepare time and
+    /// baked into the fast kernel; `None` means one-shard passes.
     shard_plan: Option<ShardPlan>,
 }
 
@@ -726,9 +730,9 @@ impl Scenario {
                 })
             }
         };
-        // Resolve the shard plan once, at prepare time. Only the
-        // batch-capable fast-path plans consume it; the general
-        // engines never shard.
+        // Resolve the shard plan once, at prepare time, and view the
+        // fast kernel's adjacency along it. Only the batch-capable
+        // fast-path plans consume it; the general engines never shard.
         let shard_plan = if matches!(
             plan,
             PlanKind::FloodFast(_) | PlanKind::DecayFast(_) | PlanKind::SimpleFast(_)
@@ -746,6 +750,12 @@ impl Scenario {
             }
         } else {
             None
+        };
+        let plan = match (plan, shard_plan.as_ref().map(ShardPlan::shard_count)) {
+            (PlanKind::FloodFast(p), Some(k)) => PlanKind::FloodFast(p.with_shards(k)),
+            (PlanKind::DecayFast(p), Some(k)) => PlanKind::DecayFast(p.with_shards(k)),
+            (PlanKind::SimpleFast(p), Some(k)) => PlanKind::SimpleFast(p.with_shards(k)),
+            (plan, _) => plan,
         };
         Ok(PreparedScenario {
             scenario: self,
@@ -866,22 +876,18 @@ impl PreparedScenario {
     }
 
     /// The fast-kernel [`FaultModel`] realizing this scenario's binding
-    /// adversary, or `None` when trials run the hard-wired omission
-    /// kernels (whose outputs must stay byte-identical) or a general
-    /// engine. The mapping mirrors the scalar adversary table: the flip
-    /// rule for (limited-)malicious MP and for limited-malicious Decay,
-    /// the lie-or-jam speaker rule for limited-malicious radio Simple.
-    fn fast_fault_model(&self) -> Option<Box<dyn FaultModel>> {
-        if self.scenario.fault.kind == FaultKind::Omission {
-            return None;
-        }
+    /// adversary on a fast-path plan: the [`Omission`] instance for
+    /// omission faults (which reads exactly the kernels' omission
+    /// coins), the flip rule for (limited-)malicious MP and for
+    /// limited-malicious Decay, and the lie-or-jam speaker rule for
+    /// limited-malicious radio Simple — mirroring the scalar adversary
+    /// table.
+    fn fast_fault_model(&self) -> Box<dyn FaultModel> {
         let p = self.scenario.fault.p.get();
-        match (&self.plan, self.scenario.model) {
-            (PlanKind::SimpleFast(_), Model::Radio) => Some(Box::new(LieOrJamFault::new(p))),
-            (PlanKind::SimpleFast(_) | PlanKind::FloodFast(_) | PlanKind::DecayFast(_), _) => {
-                Some(Box::new(FlipFault::new(p)))
-            }
-            _ => None,
+        match (self.scenario.fault.kind, &self.plan, self.scenario.model) {
+            (FaultKind::Omission, _, _) => Box::new(Omission::new(p)),
+            (_, PlanKind::SimpleFast(_), Model::Radio) => Box::new(LieOrJamFault::new(p)),
+            _ => Box::new(FlipFault::new(p)),
         }
     }
 
@@ -996,9 +1002,10 @@ impl PreparedScenario {
                 // metrics. Malicious kinds run the model kernel as
                 // lane 0 of block `seed`; omission keeps the scalar
                 // geometric-draw stream byte-stable.
-                let out = match self.fast_fault_model() {
-                    Some(model) => plan.run_lane_model(model.as_ref(), seed, 0),
-                    None => plan.run(fault.p.get(), seed),
+                let out = if malicious {
+                    plan.run_lane_model(self.fast_fault_model().as_ref(), seed, 0)
+                } else {
+                    plan.run(fault.p.get(), seed)
                 };
                 TrialOutcome::flooded(
                     out.completion_round(),
@@ -1015,9 +1022,10 @@ impl PreparedScenario {
                 // on the BFS schedule, corrupted values, correct-set
                 // reporting) as lane 0 of block `seed` — the same
                 // semantics the general flood's flip adversary has.
-                let out = match self.fast_fault_model() {
-                    Some(model) => plan.run_lane_model(model.as_ref(), &FaultTapes::new(seed), 0),
-                    None => plan.run(fault.p.get(), seed),
+                let out = if malicious {
+                    plan.run_lane_model(self.fast_fault_model().as_ref(), seed, 0)
+                } else {
+                    plan.run(fault.p.get(), seed)
                 };
                 TrialOutcome::flooded(
                     out.completion_round(),
@@ -1058,9 +1066,10 @@ impl PreparedScenario {
                 // limited-malicious runs the flip value pass (the
                 // fault-free participation schedule with corrupted
                 // values) as lane 0 of block `seed`.
-                let out = match self.fast_fault_model() {
-                    Some(model) => plan.run_lane_model(model.as_ref(), seed, 0),
-                    None => plan.run(fault.p.get(), seed),
+                let out = if malicious {
+                    plan.run_lane_model(self.fast_fault_model().as_ref(), seed, 0)
+                } else {
+                    plan.run(fault.p.get(), seed)
                 };
                 TrialOutcome::flooded(
                     out.completion_round(),
@@ -1072,7 +1081,7 @@ impl PreparedScenario {
     }
 
     /// The shard plan resolved from the scenario's [`ShardSpec`]:
-    /// `None` when batched trials run monolithic passes. Sharding is
+    /// `None` when batched trials run one-shard passes. Sharding is
     /// outcome-neutral, so this is diagnostic only (e.g. for benches
     /// reporting their shard-pass geometry).
     #[must_use]
@@ -1106,13 +1115,12 @@ impl PreparedScenario {
         self.trial_block_threads(block_seed, 1)
     }
 
-    /// [`trial_block`](Self::trial_block) with the block's independent
-    /// shard passes fanned across up to `threads` scoped workers —
-    /// **byte-identical** to the single-threaded block for every thread
-    /// count (the engines' deferred-write merge guarantee; see
-    /// DESIGN.md, "Parallel shard passes"). Only sharded omission
-    /// flood/radio blocks have a parallel backend; every other
-    /// combination runs the sequential path unchanged.
+    /// [`trial_block`](Self::trial_block) with up to `threads` scoped
+    /// workers inside the block — **byte-identical** to the
+    /// single-threaded block for every thread count. Only radio blocks
+    /// on a multi-shard plan use them, fanning each round's collision
+    /// drain over listener shards (DESIGN.md, "Parallel collision
+    /// drain"); flood and Simple blocks run sequentially.
     ///
     /// # Panics
     ///
@@ -1120,62 +1128,41 @@ impl PreparedScenario {
     /// ([`supports_batch`](Self::supports_batch)).
     #[must_use]
     pub fn trial_block_threads(&self, block_seed: u64, threads: usize) -> Vec<TrialOutcome> {
-        let p = self.scenario.fault.p.get();
-        let lanes = 0..LANES as u32;
-        let sp = self.shard_plan.as_ref();
         let model = self.fast_fault_model();
+        let lanes = 0..LANES as u32;
         match &self.plan {
             PlanKind::SimpleFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => plan.run_batch_sharded_model(sp, m.as_ref(), block_seed),
-                    (Some(m), None) => plan.run_batch_model(m.as_ref(), block_seed),
-                    (None, Some(sp)) => plan.run_batch_sharded(sp, p, block_seed),
-                    (None, None) => plan.run_batch(p, block_seed),
-                };
+                let out = plan.run_batch_model(model.as_ref(), block_seed);
                 lanes
-                    .map(|lane| {
+                    .map(|l| {
                         TrialOutcome::flooded(
-                            out.completion_round(lane),
-                            out.correct_fraction(lane),
-                            out.almost_complete_round(lane),
+                            out.completion_round(l),
+                            out.correct_fraction(l),
+                            out.almost_complete_round(l),
                         )
                     })
                     .collect()
             }
             PlanKind::FloodFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => {
-                        plan.run_batch_sharded_model(sp, m.as_ref(), &FaultTapes::new(block_seed))
-                    }
-                    (Some(m), None) => {
-                        plan.run_batch_model(m.as_ref(), &FaultTapes::new(block_seed))
-                    }
-                    (None, Some(sp)) => plan.run_batch_sharded_threads(sp, p, block_seed, threads),
-                    (None, None) => plan.run_batch(p, block_seed),
-                };
+                let out = plan.run_batch_model(model.as_ref(), block_seed);
                 lanes
-                    .map(|lane| {
+                    .map(|l| {
                         TrialOutcome::flooded(
-                            out.completion_round(lane),
-                            out.informed_fraction(lane),
-                            out.almost_complete_round(lane),
+                            out.completion_round(l),
+                            out.informed_fraction(l),
+                            out.almost_complete_round(l),
                         )
                     })
                     .collect()
             }
             PlanKind::DecayFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => plan.run_batch_sharded_model(sp, m.as_ref(), block_seed),
-                    (Some(m), None) => plan.run_batch_model(m.as_ref(), block_seed),
-                    (None, Some(sp)) => plan.run_batch_sharded_threads(sp, p, block_seed, threads),
-                    (None, None) => plan.run_batch(p, block_seed),
-                };
+                let out = plan.run_batch_threads(model.as_ref(), block_seed, threads);
                 lanes
-                    .map(|lane| {
+                    .map(|l| {
                         TrialOutcome::flooded(
-                            out.completion_round(lane),
-                            out.informed_fraction(lane),
-                            out.almost_complete_round(lane),
+                            out.completion_round(l),
+                            out.informed_fraction(l),
+                            out.almost_complete_round(l),
                         )
                     })
                     .collect()
@@ -1196,19 +1183,10 @@ impl PreparedScenario {
     #[must_use]
     pub fn trial_lane(&self, block_seed: u64, lane: u32) -> TrialOutcome {
         assert!((lane as usize) < LANES, "lane {lane} out of range");
-        let p = self.scenario.fault.p.get();
-        let sp = self.shard_plan.as_ref();
         let model = self.fast_fault_model();
         match &self.plan {
             PlanKind::SimpleFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => {
-                        plan.run_lane_sharded_model(sp, m.as_ref(), block_seed, lane)
-                    }
-                    (Some(m), None) => plan.run_lane_model(m.as_ref(), block_seed, lane),
-                    (None, Some(sp)) => plan.run_lane_sharded(sp, p, block_seed, lane),
-                    (None, None) => plan.run_lane(p, block_seed, lane),
-                };
+                let out = plan.run_lane_model(model.as_ref(), block_seed, lane);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.correct_fraction(),
@@ -1216,19 +1194,7 @@ impl PreparedScenario {
                 )
             }
             PlanKind::FloodFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => plan.run_lane_sharded_model(
-                        sp,
-                        m.as_ref(),
-                        &FaultTapes::new(block_seed),
-                        lane,
-                    ),
-                    (Some(m), None) => {
-                        plan.run_lane_model(m.as_ref(), &FaultTapes::new(block_seed), lane)
-                    }
-                    (None, Some(sp)) => plan.run_lane_sharded(sp, p, block_seed, lane),
-                    (None, None) => plan.run_lane(p, block_seed, lane),
-                };
+                let out = plan.run_lane_model(model.as_ref(), block_seed, lane);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.informed_fraction(),
@@ -1236,14 +1202,7 @@ impl PreparedScenario {
                 )
             }
             PlanKind::DecayFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => {
-                        plan.run_lane_sharded_model(sp, m.as_ref(), block_seed, lane)
-                    }
-                    (Some(m), None) => plan.run_lane_model(m.as_ref(), block_seed, lane),
-                    (None, Some(sp)) => plan.run_lane_sharded(sp, p, block_seed, lane),
-                    (None, None) => plan.run_lane(p, block_seed, lane),
-                };
+                let out = plan.run_lane_model(model.as_ref(), block_seed, lane);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.informed_fraction(),

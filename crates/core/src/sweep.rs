@@ -520,10 +520,10 @@ impl<'a> Sweep<'a> {
             }
         }
         // Threads left idle by the task fan-out go to intra-trial
-        // shard parallelism: with fewer tasks than workers, each
-        // batched block fans its independent shard passes across the
-        // spare threads. The parallel merge is byte-identical to the
-        // sequential pass, so outcome vectors still cannot depend on
+        // shard parallelism: with fewer tasks than workers, batched
+        // radio blocks fan each round's collision drain across the
+        // spare threads. The parallel drain is byte-identical to the
+        // sequential one, so outcome vectors still cannot depend on
         // the thread count.
         let intra = (threads / tasks.len().max(1)).max(1);
         let outcomes: Vec<Mutex<Vec<Option<TrialOutcome>>>> = cells

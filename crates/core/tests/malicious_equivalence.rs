@@ -39,12 +39,10 @@ use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
 use randcast_engine::kernel::{
-    CorruptionKind, FaultModel, FaultTapes, FlipFault, LieOrJamFault, Omission, WorstCasePlacement,
-    LANES,
+    CorruptionKind, FaultModel, FlipFault, LieOrJamFault, Omission, WorstCasePlacement, LANES,
 };
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
 use randcast_engine::simple_fast::FastSimple;
-use randcast_graph::shard::ShardPlan;
 use randcast_graph::{generators, traversal, CsrGraph, Graph};
 
 const TRIALS: u64 = 250;
@@ -185,10 +183,7 @@ fn compare_flood_means(label: &str, g: &Graph, p: f64, variant: FloodVariant) {
         })
         .collect();
     let fast_counts: Vec<f64> = (0..TRIALS)
-        .map(|seed| {
-            fast.run_lane_model(&model, &FaultTapes::new(seed), 0)
-                .informed_count() as f64
-        })
+        .map(|seed| fast.run_lane_model(&model, seed, 0).informed_count() as f64)
         .collect();
     assert_means_close(label, &summarize(&trait_counts), &summarize(&fast_counts));
 }
@@ -274,7 +269,7 @@ fn omission_instance_is_byte_identical_to_the_wired_kernels() {
                     "simple p={p} seed {seed} lane {lane}"
                 );
                 assert_eq!(
-                    flood.run_lane_model(&model, &FaultTapes::new(seed), lane),
+                    flood.run_lane_model(&model, seed, lane),
                     flood.run_lane(p, seed, lane),
                     "flood p={p} seed {seed} lane {lane}"
                 );
@@ -328,7 +323,7 @@ fn malicious_kernels_agree_with_omission_lanes_at_p_zero() {
                 }
             }
             assert_eq!(
-                flood.run_lane_model(&FlipFault::new(0.0), &FaultTapes::new(seed), lane),
+                flood.run_lane_model(&FlipFault::new(0.0), seed, lane),
                 flood.run_lane(0.0, seed, lane),
                 "flood seed {seed} lane {lane}"
             );
@@ -387,7 +382,7 @@ fn trait_and_fast_engines_agree_exactly_at_p_zero() {
     let fast_flood = FastFlood::new(CsrGraph::from(&g), source, horizon, FastFloodVariant::Tree);
     for seed in 0..5 {
         let reference = flood_plan.run(&g, FaultConfig::malicious(0.0), seed);
-        let out = fast_flood.run_lane_model(&FlipFault::new(0.0), &FaultTapes::new(seed), 0);
+        let out = fast_flood.run_lane_model(&FlipFault::new(0.0), seed, 0);
         assert_eq!(reference.completion_round(), out.completion_round());
         for v in g.nodes() {
             assert_eq!(
@@ -462,12 +457,11 @@ fn malicious_batches_agree_lane_for_lane() {
     let flood_models: [&dyn FaultModel; 2] = [&FlipFault::new(0.4), &flood_placed];
     for model in flood_models {
         for &bs in &seeds {
-            let tapes = FaultTapes::new(bs);
-            let batch = flood.run_batch_model(model, &tapes);
+            let batch = flood.run_batch_model(model, bs);
             for lane in 0..LANES as u32 {
                 assert_eq!(
                     batch.lane_outcome(lane),
-                    flood.run_lane_model(model, &tapes, lane),
+                    flood.run_lane_model(model, bs, lane),
                     "flood {} block {bs} lane {lane}",
                     model.name()
                 );
@@ -502,75 +496,79 @@ fn malicious_batches_agree_lane_for_lane() {
 #[test]
 fn malicious_shards_are_neutral() {
     // Sharded execution is a traversal-order detail: for every shard
-    // count the sharded model drivers must reproduce the unsharded
-    // batch and lane replays byte-for-byte, including for placement
-    // masks whose corrupted set was pinned by preprocessing.
+    // count a kernel built over the sharded plan must reproduce the
+    // one-shard kernel's batch and lane replays byte-for-byte,
+    // including for placement masks whose corrupted set was pinned by
+    // preprocessing.
     let g = generators::grid(5, 6);
-    let n = g.node_count();
     let csr = CsrGraph::from(&g);
     let bs = 2005u64;
     let lane = 5u32;
 
-    let simple = FastSimple::new(&csr, g.node(0), 9);
+    let simple_kernel = || FastSimple::new(&csr, g.node(0), 9);
+    let flood_kernel = || FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree);
+    let radio_kernel = || {
+        FastRadio::new(
+            csr.clone(),
+            g.node(0),
+            180,
+            FastRadioSchedule::Decay { epoch_len: 6 },
+        )
+    };
+    let (simple, flood, radio) = (simple_kernel(), flood_kernel(), radio_kernel());
     let mut simple_placed = placed(0.25, CorruptionKind::Flip);
     simple.preprocess(&mut simple_placed);
-    let flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree);
     let mut flood_placed = placed(0.25, CorruptionKind::Flip);
     flood.preprocess(&mut flood_placed);
-    let radio = FastRadio::new(
-        csr,
-        g.node(0),
-        180,
-        FastRadioSchedule::Decay { epoch_len: 6 },
-    );
     let mut radio_placed = placed(0.3, CorruptionKind::Flip);
     radio.preprocess(&mut radio_placed);
 
     let flip = FlipFault::new(0.3);
     let lie = LieOrJamFault::new(0.2);
     for shards in [2usize, 3, 7] {
-        let plan = ShardPlan::uniform(n, shards);
+        let sharded = simple_kernel().with_shards(shards);
         let simple_models: [&dyn FaultModel; 3] = [&flip, &lie, &simple_placed];
         for model in simple_models {
             assert_eq!(
-                simple.run_batch_sharded_model(&plan, model, bs),
+                sharded.run_batch_model(model, bs),
                 simple.run_batch_model(model, bs),
                 "simple {} shards {shards}",
                 model.name()
             );
             assert_eq!(
-                simple.run_lane_sharded_model(&plan, model, bs, lane),
+                sharded.run_lane_model(model, bs, lane),
                 simple.run_lane_model(model, bs, lane),
                 "simple {} shards {shards} lane",
                 model.name()
             );
         }
-        let tapes = FaultTapes::new(bs);
+        let sharded = flood_kernel().with_shards(shards);
         let flood_models: [&dyn FaultModel; 2] = [&flip, &flood_placed];
         for model in flood_models {
             assert_eq!(
-                flood.run_batch_sharded_model(&plan, model, &tapes),
-                flood.run_batch_model(model, &tapes),
+                sharded.run_batch_model(model, bs),
+                flood.run_batch_model(model, bs),
                 "flood {} shards {shards}",
                 model.name()
             );
             assert_eq!(
-                flood.run_lane_sharded_model(&plan, model, &tapes, lane),
-                flood.run_lane_model(model, &tapes, lane),
+                sharded.run_lane_model(model, bs, lane),
+                flood.run_lane_model(model, bs, lane),
                 "flood {} shards {shards} lane",
                 model.name()
             );
         }
+        let sharded = radio_kernel().with_shards(shards);
         let radio_models: [&dyn FaultModel; 2] = [&flip, &radio_placed];
         for model in radio_models {
             assert_eq!(
-                radio.run_batch_sharded_model(&plan, model, bs),
+                sharded.run_batch_model(model, bs),
                 radio.run_batch_model(model, bs),
                 "radio {} shards {shards}",
                 model.name()
             );
             assert_eq!(
-                radio.run_lane_sharded_model(&plan, model, bs, lane),
+                sharded.run_lane_model(model, bs, lane),
                 radio.run_lane_model(model, bs, lane),
                 "radio {} shards {shards} lane",
                 model.name()

@@ -114,9 +114,10 @@ impl InformedSet {
 /// (`ShardPlan::shard_of`); this type only owns the lists, so the
 /// kernel stays independent of the graph crate.
 ///
-/// Engines typically hold two — the current round's frontier and the
-/// next round's staging lists — and swap per-shard contents through
-/// [`refill_from`](Self::refill_from) at each round boundary.
+/// The flood round loop stages next-round candidates in one flat list
+/// and routes them here with [`route_from`](Self::route_from) at each
+/// round boundary; [`refill_from`](Self::refill_from) moves filtered
+/// contents between two frontiers shard by shard.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ShardFrontier {
     lists: Vec<Vec<u32>>,
@@ -173,6 +174,26 @@ impl ShardFrontier {
         }
     }
 
+    /// Replaces every shard's list with the nodes of `staged` routed by
+    /// `shard_of`, keeping push order within each shard, and drains
+    /// `staged`. A pass can then stage into one flat list at the cost of
+    /// a plain push, and with a single shard the routing is a swap.
+    pub fn route_from(&mut self, staged: &mut Vec<u32>, shard_of: impl Fn(u32) -> usize) {
+        self.clear();
+        if let [list] = self.lists.as_mut_slice() {
+            std::mem::swap(list, staged);
+            return;
+        }
+        for v in staged.drain(..) {
+            self.lists[shard_of(v)].push(v);
+        }
+    }
+
+    /// Keeps the nodes of shard `s`'s list that pass `keep`, in order.
+    pub fn retain(&mut self, s: usize, keep: impl FnMut(&u32) -> bool) {
+        self.lists[s].retain(keep);
+    }
+
     /// Replaces shard `s`'s list with the nodes of `staged`'s shard `s`
     /// that pass `keep`, draining the staged list — the round-boundary
     /// filter of a sharded frontier pass (`keep` is the monolithic
@@ -194,15 +215,10 @@ impl ShardFrontier {
 /// results **in ascending shard order** regardless of which worker ran
 /// which shard or in what wall-clock order they finished.
 ///
-/// This is the engine-side primitive behind the thread-parallel batched
-/// round: `pass` must only *read* shared round state (the frozen
-/// frontier, informed masks, activity words) and return the writes it
-/// would have performed as data — delivery events, retained node lists,
-/// per-node mask updates. The caller then applies the returned shard
-/// results sequentially in ascending shard order, which replays the
-/// exact write sequence of the single-threaded sharded pass, so
-/// outcomes are byte-identical for every thread count (see DESIGN.md,
-/// "Parallel shard passes").
+/// `pass` must only *read* shared round state and return what it found
+/// as data; the caller applies the results sequentially in ascending
+/// shard order, so outcomes are byte-identical for every thread count
+/// (see DESIGN.md, "Parallel collision drain").
 ///
 /// With `threads <= 1` (or a single shard) no threads are spawned and
 /// `pass` runs inline, shard by shard.
@@ -237,13 +253,10 @@ where
 }
 
 /// [`shard_passes`] for passes that need *owned mutable* per-shard
-/// state: each element of `state` is moved into its shard's pass, and
-/// the results come back in ascending shard order. This is the merge
-/// side of a deferred-write round — per-listener-shard event buckets
-/// or split mask ranges fan out to workers, each worker folds its
-/// shard's events in the ascending-transmit-shard order the sequential
-/// merge uses, and the caller applies the returned results
-/// sequentially, exactly as with [`shard_passes`].
+/// state: each element of `state` is moved into its shard's pass (e.g.
+/// the `split_at_mut` slices of a listener-indexed plane), and the
+/// results come back in ascending shard order, exactly as with
+/// [`shard_passes`].
 ///
 /// With `threads <= 1` (or a single shard) no threads are spawned.
 pub fn range_passes<S, R, F>(state: Vec<S>, threads: usize, pass: F) -> Vec<R>
@@ -555,6 +568,105 @@ impl ShardedCollisions {
     #[must_use]
     pub fn touched_len(&self) -> usize {
         self.touched.iter().map(Vec::len).sum()
+    }
+}
+
+/// The 64-lane form of [`ShardedCollisions`]: per listener, the lanes
+/// with at least one (`once`) and at least two (`twice`) transmitting
+/// neighbors this round, with first touches kept per listener shard.
+/// The same ordering argument applies — draining shard lists in
+/// ascending order replays the monolithic first-touch order restricted
+/// to each shard — and since a listener's words belong to its shard
+/// alone, the parallel drain hands each worker its shard's slice of the
+/// `once`/`twice` planes.
+pub(crate) struct ShardedLaneCollisions {
+    bounds: Vec<u32>,
+    once: Vec<LaneMask>,
+    twice: Vec<LaneMask>,
+    touched: Vec<Vec<u32>>,
+}
+
+impl ShardedLaneCollisions {
+    /// Zeroed accumulators over the shard bounds of a plan.
+    pub(crate) fn new(bounds: &[u32]) -> Self {
+        let n = bounds[bounds.len() - 1] as usize;
+        ShardedLaneCollisions {
+            bounds: bounds.to_vec(),
+            once: vec![0; n],
+            twice: vec![0; n],
+            touched: vec![Vec::new(); bounds.len() - 1],
+        }
+    }
+
+    /// Records one transmission reaching listener `t` in lanes `need`.
+    #[inline]
+    pub(crate) fn add(&mut self, t: u32, need: LaneMask) {
+        let ti = t as usize;
+        let (once, twice) = (self.once[ti], self.twice[ti]);
+        if once | twice == 0 {
+            let s = match self.touched.len() {
+                1 => 0,
+                _ => self.bounds.partition_point(|&b| b <= t) - 1,
+            };
+            self.touched[s].push(t);
+        }
+        self.twice[ti] = twice | (once & need);
+        self.once[ti] = once | need;
+    }
+
+    /// Visits every touched listener with the lanes in which it heard
+    /// **exactly one** transmitter (skipping listeners that heard none),
+    /// in ascending listener shard and first-touch order, then resets
+    /// the accumulators. With `threads > 1` the per-shard extraction
+    /// and reset run concurrently; `hear` still runs sequentially.
+    pub(crate) fn drain(&mut self, threads: usize, mut hear: impl FnMut(usize, u32, LaneMask)) {
+        let k = self.touched.len();
+        if threads <= 1 || k <= 1 {
+            for (s, list) in self.touched.iter_mut().enumerate() {
+                for &t in list.iter() {
+                    let ti = t as usize;
+                    let h = self.once[ti] & !self.twice[ti];
+                    self.once[ti] = 0;
+                    self.twice[ti] = 0;
+                    if h != 0 {
+                        hear(s, t, h);
+                    }
+                }
+                list.clear();
+            }
+            return;
+        }
+        let mut state = Vec::with_capacity(k);
+        let (mut once, mut twice): (&mut [LaneMask], &mut [LaneMask]) =
+            (&mut self.once, &mut self.twice);
+        for (s, list) in self.touched.iter_mut().enumerate() {
+            let rows = (self.bounds[s + 1] - self.bounds[s]) as usize;
+            let (once_s, once_rest) = std::mem::take(&mut once).split_at_mut(rows);
+            let (twice_s, twice_rest) = std::mem::take(&mut twice).split_at_mut(rows);
+            once = once_rest;
+            twice = twice_rest;
+            state.push((list, once_s, twice_s));
+        }
+        let bounds = &self.bounds;
+        let heard = range_passes(state, threads, |s, (list, once, twice)| {
+            let mut heard = Vec::with_capacity(list.len());
+            for &t in list.iter() {
+                let ti = (t - bounds[s]) as usize;
+                let h = once[ti] & !twice[ti];
+                once[ti] = 0;
+                twice[ti] = 0;
+                if h != 0 {
+                    heard.push((t, h));
+                }
+            }
+            list.clear();
+            heard
+        });
+        for (s, list) in heard.into_iter().enumerate() {
+            for (t, h) in list {
+                hear(s, t, h);
+            }
+        }
     }
 }
 
@@ -921,15 +1033,57 @@ impl LaneCounter {
     }
 }
 
-/// Records `round` as the crossing round for every lane set in `mask`
-/// (a shared helper of the batched engines' completion/almost
-/// bookkeeping).
-pub(crate) fn record_crossings(mask: LaneMask, round: usize, rounds: &mut [Option<usize>]) {
+/// Records `round` as the crossing round for every lane set in `mask`.
+fn record_crossings(mask: LaneMask, round: usize, rounds: &mut [Option<usize>]) {
     let mut m = mask;
     while m != 0 {
         let lane = m.trailing_zeros() as usize;
         rounds[lane] = Some(round);
         m &= m - 1;
+    }
+}
+
+/// The batched engines' completion bookkeeping: each lane's first round
+/// with every node counted (`count == n`) and with an almost-complete
+/// count (`≥ n − 1`). Lanes already there before any round — a
+/// one-node graph, or `n ≤ 2` for the almost mark — cross at round 0.
+pub(crate) struct Crossings {
+    n: u64,
+    almost_target: u64,
+    /// Lanes that have completed.
+    pub(crate) completed: LaneMask,
+    almost_done: LaneMask,
+    /// Per-lane completion round.
+    pub(crate) completion: Vec<Option<usize>>,
+    /// Per-lane almost-complete round.
+    pub(crate) almost: Vec<Option<usize>>,
+}
+
+impl Crossings {
+    pub(crate) fn new(n: usize) -> Self {
+        let almost_target = n.saturating_sub(1).max(1) as u64;
+        let complete = n == 1;
+        let almost = 1 >= almost_target;
+        Crossings {
+            n: n as u64,
+            almost_target,
+            completed: if complete { !0 } else { 0 },
+            almost_done: if almost { !0 } else { 0 },
+            completion: vec![complete.then_some(0); LANES],
+            almost: vec![almost.then_some(0); LANES],
+        }
+    }
+
+    /// Records the lanes whose `counts` cross either mark at `round`.
+    pub(crate) fn record(&mut self, counts: &LaneCounter, round: usize) {
+        let comp = counts.eq_mask(self.n) & !self.completed;
+        record_crossings(comp, round, &mut self.completion);
+        self.completed |= comp;
+        if self.almost_done != !0 {
+            let almost = counts.ge_mask(self.almost_target) & !self.almost_done;
+            record_crossings(almost, round, &mut self.almost);
+            self.almost_done |= almost;
+        }
     }
 }
 
@@ -1151,17 +1305,6 @@ impl BatchedInformedSet {
     pub(crate) fn from_parts(masks: Vec<u64>, counts: LaneCounter) -> Self {
         let n = masks.len();
         BatchedInformedSet { masks, counts, n }
-    }
-
-    /// Splits the set into its raw mask words and size counter for a
-    /// parallel merge: workers mutate disjoint `masks` ranges (via
-    /// `split_at_mut` along shard bounds) and accumulate their own
-    /// [`LaneCounter`] deltas, which the caller folds back with
-    /// [`LaneCounter::add_counter`]. The counter is only *observed*
-    /// after the fold, so the split never exposes an inconsistent
-    /// `(masks, counts)` pair to readers.
-    pub(crate) fn parts_mut(&mut self) -> (&mut [u64], &mut LaneCounter) {
-        (&mut self.masks, &mut self.counts)
     }
 
     /// Inserts node `v` into every lane of `lanes`; returns the lanes
@@ -1764,6 +1907,27 @@ mod tests {
         assert!(cur.shard(2).is_empty());
         cur.clear();
         assert!(cur.is_empty());
+    }
+
+    #[test]
+    fn shard_frontier_routes_flat_staging_in_push_order() {
+        let mut cur = ShardFrontier::new(3);
+        cur.push(1, 4);
+        let mut staged = vec![9, 1, 5, 10, 2];
+        cur.route_from(&mut staged, |v| (v / 4) as usize);
+        assert!(staged.is_empty(), "staged list drained");
+        // Routing replaces every list, including the untouched one.
+        assert_eq!(
+            [cur.shard(0), cur.shard(1), cur.shard(2)],
+            [&[1, 2][..], &[5], &[9, 10]]
+        );
+        cur.retain(2, |&v| v != 9);
+        assert_eq!(cur.shard(2), &[10]);
+        // One shard takes the staged list whole.
+        let mut one = ShardFrontier::new(1);
+        let mut staged = vec![3, 1, 2];
+        one.route_from(&mut staged, |_| unreachable!("one shard needs no routing"));
+        assert_eq!(one.shard(0), &[3, 1, 2]);
     }
 
     #[test]

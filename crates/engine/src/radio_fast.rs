@@ -44,13 +44,17 @@
 //! component and reports the informed *fraction* and the
 //! almost-complete (`1 − 1/n`) time.
 //!
+//! The tape-addressed lane and batch run one round loop,
+//! [`ShardedRadio`]'s, over a [`ShardStore`]: `FastRadio` owns its
+//! adjacency as an in-RAM store, and out-of-core runs read disk
+//! segments through the same loop.
+//!
 //! Every entry point has a `*_model` sibling parametric in a
 //! [`FaultModel`](crate::kernel::FaultModel). `Silent` models (i.i.d.
 //! omission, throttled mixtures, worst-case placement) run the same
 //! frontier machinery with the model supplying the per-site corruption
-//! masks — the [`Omission`](crate::kernel::Omission) instance reads
-//! exactly the coin words the hard-wired path read, so the plain entry
-//! points stay byte-identical. Corrupted-*value* models (`Flip` /
+//! masks — the plain entry points are these drivers at the
+//! [`Omission`](crate::kernel::Omission) instance. Corrupted-*value* models (`Flip` /
 //! `Lie`, the paper's limited-malicious transmitters) change what a
 //! fault does: a corrupted transmitter still transmits — it collides
 //! like any other — but the *message* it delivers is corrupted, a
@@ -62,14 +66,14 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardView};
+use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardedCsr};
 use randcast_graph::{CsrGraph, NodeId};
 use randcast_stats::seed::{splitmix64, SeedSequence};
 
 use crate::kernel::{
-    range_passes, record_crossings, shard_passes, BatchTape, BatchedInformedSet, CollisionCounter,
-    CorruptionKind, FaultModel, FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask,
-    Omission, ShardedCollisions, DECAY_STREAM, LANES,
+    BatchTape, BatchedInformedSet, CollisionCounter, CorruptionKind, Crossings, FaultModel,
+    FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask, Omission, ShardedCollisions,
+    ShardedLaneCollisions, DECAY_STREAM, LANES,
 };
 
 /// The coin site of `(0-based round, node)`: both the fault coin and
@@ -125,17 +129,13 @@ pub enum FastRadioSchedule {
 }
 
 /// A compiled fast-path radio plan: flat CSR adjacency plus a schedule
-/// and horizon. The adjacency arrays come straight from the
-/// [`CsrGraph`] substrate.
-#[derive(Clone, Debug)]
+/// and horizon. The adjacency comes straight from the [`CsrGraph`]
+/// substrate and lives in an in-RAM [`ShardStore`] viewed along a
+/// node-range plan (one shard unless [`with_shards`](Self::with_shards)
+/// says otherwise); silent lanes and batches run the one round loop of
+/// [`ShardedRadio`] over it — the loop out-of-core runs use.
 pub struct FastRadio {
-    /// `neighbors[offsets[v]..offsets[v+1]]` are `v`'s neighbors.
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
-    source: u32,
-    horizon: usize,
-    n: usize,
-    schedule: FastRadioSchedule,
+    core: ShardedRadio,
 }
 
 impl FastRadio {
@@ -153,45 +153,50 @@ impl FastRadio {
     /// `epoch_len == 0`.
     #[must_use]
     pub fn new(csr: CsrGraph, source: NodeId, horizon: usize, schedule: FastRadioSchedule) -> Self {
-        if let FastRadioSchedule::Decay { epoch_len } = schedule {
-            assert!(epoch_len > 0, "decay epochs need at least one round");
-        }
-        let n = csr.node_count();
-        let (offsets, neighbors) = csr.into_raw_parts();
+        let plan = ShardPlan::uniform(csr.node_count(), 1);
+        let store = ShardStore::Ram(ShardedCsr::new(csr, plan));
         FastRadio {
-            offsets,
-            neighbors,
-            source: u32::from(source),
-            horizon,
-            n,
-            schedule,
+            core: ShardedRadio::new(store, u32::from(source), horizon, schedule),
         }
+    }
+
+    /// Re-views the adjacency along `shards` balanced node ranges
+    /// (clamped to `1..=n`), without copying it. Outcomes are
+    /// byte-identical for every shard count.
+    #[must_use]
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        let ShardStore::Ram(ram) = self.core.store else {
+            unreachable!("in-RAM kernels own a RAM store")
+        };
+        let plan = ShardPlan::uniform(ram.node_count(), shards);
+        self.core.store = ShardStore::Ram(ShardedCsr::new(ram.into_csr(), plan));
+        self
     }
 
     /// The horizon (maximum number of rounds executed).
     #[must_use]
     pub fn horizon(&self) -> usize {
-        self.horizon
+        self.core.horizon
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.n
+        self.core.node_count()
     }
 
     /// The schedule this plan executes.
     #[must_use]
     pub fn schedule(&self) -> FastRadioSchedule {
-        self.schedule
+        self.core.schedule
     }
 
-    fn neighbors_of(&self, v: usize) -> &[u32] {
-        &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    fn has_uninformed_neighbor(&self, v: usize, informed: &InformedSet) -> bool {
-        self.neighbors_of(v).iter().any(|&t| !informed.contains(t))
+    /// The adjacency.
+    fn neighbors(&self) -> &CsrGraph {
+        self.core
+            .store
+            .ram_csr()
+            .expect("in-RAM kernels own a RAM store")
     }
 
     /// Executes one seeded broadcast with per-(node, round) transmitter
@@ -204,12 +209,13 @@ impl FastRadio {
     #[must_use]
     pub fn run(&self, p: f64, seed: u64) -> FastRadioOutcome {
         let sampler = FaultSampler::new(p);
-        let n = self.n;
+        let neighbors = self.neighbors();
+        let (n, source, horizon) = (self.node_count(), self.core.source, self.core.horizon);
         let mut rng = SmallRng::seed_from_u64(seed);
         let tapes = decay_tapes(seed);
         let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
+        informed.insert(source);
+        let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
 
@@ -218,18 +224,13 @@ impl FastRadio {
         // kernel ever simulates (an informed node all of whose
         // neighbors are informed can neither inform nor collide at an
         // uninformed listener).
-        let mut participants: Vec<u32> = vec![self.source];
+        let mut participants: Vec<u32> = vec![source];
         let mut active: Vec<u32> = Vec::new();
         let mut transmitters: Vec<u32> = Vec::new();
         let mut counter = CollisionCounter::new(n);
+        let (decay, epoch_len) = self.core.epochs();
 
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            // Every round is its own epoch: everyone re-activates.
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
+        for round in 1..=horizon {
             if completion_round.is_some() {
                 break; // everyone informed: nothing can change
             }
@@ -237,7 +238,12 @@ impl FastRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
-                participants.retain(|&u| self.has_uninformed_neighbor(u as usize, &informed));
+                participants.retain(|&u| {
+                    neighbors
+                        .neighbors_of(u as usize)
+                        .iter()
+                        .any(|&t| !informed.contains(t))
+                });
                 if participants.is_empty() {
                     break; // the source component is exhausted
                 }
@@ -253,7 +259,7 @@ impl FastRadio {
             // Collision resolution: an uninformed listener hears iff
             // exactly one neighbor transmits.
             for &u in &transmitters {
-                for &v in self.neighbors_of(u as usize) {
+                for &v in neighbors.neighbors_of(u as usize) {
                     if !informed.contains(v) {
                         counter.add(v);
                     }
@@ -281,7 +287,7 @@ impl FastRadio {
 
         FastRadioOutcome {
             n,
-            horizon: self.horizon,
+            horizon,
             completion_round,
             informed_by_round,
             informed,
@@ -304,93 +310,9 @@ impl FastRadio {
     /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
     #[must_use]
     pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastRadioOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_silent(
-            &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
-            lane,
-        )
-    }
-
-    /// The frontier replay of [`run_lane`](Self::run_lane) generalized
-    /// over any `Silent` [`FaultModel`]: a corrupted transmission is
-    /// silenced, everything else is the omission algorithm. The
-    /// [`Omission`] instance reads exactly the coin words the
-    /// hard-wired path read before the refactor, so the omission entry
-    /// points stay byte-identical.
-    fn run_lane_silent<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        let n = self.n;
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut participants: Vec<u32> = vec![self.source];
-        let mut active: Vec<u32> = Vec::new();
-        let mut counter = CollisionCounter::new(n);
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            if completion_round.is_some() {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                participants.retain(|&u| self.has_uninformed_neighbor(u as usize, &informed));
-                if participants.is_empty() {
-                    break;
-                }
-                active.clear();
-                active.extend_from_slice(&participants);
-            }
-
-            for &u in &active {
-                // The coin is an omission: `true` silences `u`.
-                if model.corrupt_lane(tapes, radio_site(r0, u), u, lane) {
-                    continue;
-                }
-                for &v in self.neighbors_of(u as usize) {
-                    if !informed.contains(v) {
-                        counter.add(v);
-                    }
-                }
-            }
-            counter.drain_sole_receivers(|v| {
-                informed.insert(v);
-                participants.push(v);
-            });
-
-            informed_by_round.push(informed.count());
-            if informed.count() == n {
-                completion_round = Some(round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-            }
-        }
-
-        FastRadioOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        }
+        self.core
+            .run_lane(p, block_seed, lane)
+            .expect("RAM views are infallible")
     }
 
     /// Runs all 64 trial lanes of block `block_seed` at once: the
@@ -403,980 +325,22 @@ impl FastRadio {
     /// site-addressed pure functions of the block seed, so the batched
     /// evolution reads exactly the bits the scalar replay reads.
     ///
-    /// A lane's replay stops executing rounds once it completes or once
-    /// an epoch boundary finds it without participants; the batch keeps
-    /// looping while *any* lane is live and records each lane's stop
-    /// round so per-lane growth curves cut off exactly where the scalar
-    /// replay's do.
-    ///
     /// # Panics
     ///
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastRadioBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        self.run_batch_silent(
-            &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
-        )
-    }
-
-    /// [`run_batch`](Self::run_batch) generalized over any `Silent`
-    /// [`FaultModel`] (see [`run_lane_silent`](Self::run_lane_silent)
-    /// for the byte-identity argument).
-    fn run_batch_silent<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-    ) -> FastRadioBatch {
-        let n = self.n;
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        // Per-round snapshots of the count planes, in one flat arena.
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        // Lanes whose replay broke at an epoch boundary with no
-        // participants left, and the number of rounds each had executed.
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
-
-        // Union participant list: nodes with a nonzero per-lane
-        // participation mask in some lane. `act` is the per-node lane
-        // mask of *currently transmitting* participants — rebuilt at
-        // every epoch boundary, thinned by Decay coins within an epoch.
-        // Nodes informed mid-epoch join the list with an empty mask and
-        // pick up their lanes at the next boundary, exactly as the
-        // scalar kernel's `participants` / `active` split.
-        let mut plist: Vec<u32> = vec![self.source];
-        let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-
-        // Collision accumulators per listener: lanes with ≥ 1 and ≥ 2
-        // transmitting neighbors this round, reset via the touched list.
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let mut touched: Vec<u32> = Vec::new();
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                let mut any: LaneMask = 0;
-                plist.retain(|&v| {
-                    let vi = v as usize;
-                    let inf_v = informed.lanes(v);
-                    let mut un: LaneMask = 0;
-                    for &t in self.neighbors_of(vi) {
-                        un |= !informed.lanes(t);
-                        // Once every lane `v` knows the message in has
-                        // an uninformed neighbor, more neighbors cannot
-                        // widen the participation mask.
-                        if un & inf_v == inf_v {
-                            break;
-                        }
-                    }
-                    let m = inf_v & un;
-                    act[vi] = m;
-                    any |= m;
-                    if m == 0 {
-                        in_plist[vi] = false;
-                    }
-                    m != 0
-                });
-                // Lanes with no participants anywhere break *before*
-                // executing this round, exactly like the scalar replay.
-                let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
-                }
-            }
-            executed += 1;
-
-            for &v in &plist {
-                let a = act[v as usize];
-                if a == 0 {
-                    continue;
-                }
-                // Coins are site-addressed pure functions, so skipping
-                // the draw for a transmission no listener can use
-                // leaves every other lane read untouched. `useful`
-                // restricts the draw to lanes where some neighbor is
-                // still uninformed; the excluded lanes would contribute
-                // `need == 0` at every listener below.
-                let mut un_v: LaneMask = 0;
-                for &t in self.neighbors_of(v as usize) {
-                    un_v |= !informed.lanes(t);
-                    if un_v & a == a {
-                        break;
-                    }
-                }
-                let useful = a & un_v;
-                if useful == 0 {
-                    continue;
-                }
-                let tx = useful & !model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
-                if tx == 0 {
-                    continue;
-                }
-                for &t in self.neighbors_of(v as usize) {
-                    let ti = t as usize;
-                    // Restrict collision tracking to the lanes where `t`
-                    // is still uninformed — the scalar replay's
-                    // `!informed.contains(v)` guard, lane-sliced. Lanes
-                    // where `t` already knows the message can neither
-                    // hear nor collide usefully, and the informed words
-                    // are frozen until the drain, so dropping them here
-                    // leaves `hear` identical on every lane that counts.
-                    let need = tx & !informed.lanes(t);
-                    if need == 0 {
-                        continue;
-                    }
-                    if once[ti] | twice[ti] == 0 {
-                        touched.push(t);
-                    }
-                    twice[ti] |= once[ti] & need;
-                    once[ti] |= need;
-                }
-            }
-
-            let mut changed = false;
-            for &t in &touched {
-                let ti = t as usize;
-                let hear = once[ti] & !twice[ti];
-                once[ti] = 0;
-                twice[ti] = 0;
-                if hear == 0 {
-                    continue;
-                }
-                let newly = informed.insert_masked(t, hear);
-                if newly != 0 {
-                    changed = true;
-                    if !in_plist[ti] {
-                        in_plist[ti] = true;
-                        act[ti] = 0;
-                        plist.push(t);
-                    }
-                }
-            }
-            touched.clear();
-
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
-
-            if decay && j + 1 < epoch_len {
-                for &v in &plist {
-                    let vi = v as usize;
-                    if act[vi] != 0 {
-                        act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                    }
-                }
-            }
-        }
-
-        FastRadioBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            exhausted,
-            exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
-        }
-    }
-
-    /// Scalar lane replay executed shard-at-a-time: the algorithm of
-    /// [`run_lane`](Self::run_lane) with the participant and active
-    /// lists kept per shard of `plan`, so the epoch-boundary refilter,
-    /// the transmit pass, and the Decay thinning each touch one shard's
-    /// CSR rows at a time through a [`ShardView`]. Collision counts
-    /// accumulate in the *global* [`CollisionCounter`] across all of a
-    /// round's shard passes before the sole-receiver drain — exactly
-    /// one drain per round, as in the monolithic pass — and the
-    /// saturating per-listener counts are order-independent for a fixed
-    /// transmitter set, so the outcome is **bit-identical** to
-    /// [`run_lane`](Self::run_lane) for every plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)`, `lane ≥ 64`, or the plan covers a
-    /// different node count.
-    #[must_use]
-    pub fn run_lane_sharded(
-        &self,
-        plan: &ShardPlan,
-        p: f64,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_sharded_silent(
-            plan,
-            &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
-            lane,
-        )
-    }
-
-    /// [`run_lane_sharded`](Self::run_lane_sharded) generalized over
-    /// any `Silent` [`FaultModel`] (see
-    /// [`run_lane_silent`](Self::run_lane_silent) for the
-    /// byte-identity argument).
-    fn run_lane_sharded_silent<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
-        participants[plan.shard_of(self.source)].push(self.source);
-        let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut counter = CollisionCounter::new(n);
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            if completion_round.is_some() {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                let mut any = false;
-                for (s, (parts, act_list)) in
-                    participants.iter_mut().zip(active.iter_mut()).enumerate()
-                {
-                    act_list.clear();
-                    if parts.is_empty() {
-                        continue;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                    parts.retain(|&u| view.targets_of(u).iter().any(|&t| !informed.contains(t)));
-                    act_list.extend_from_slice(parts);
-                    any |= !parts.is_empty();
-                }
-                if !any {
-                    break;
-                }
-            }
-
-            for (s, act_list) in active.iter().enumerate() {
-                if act_list.is_empty() {
-                    continue;
-                }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                for &u in act_list {
-                    if model.corrupt_lane(tapes, radio_site(r0, u), u, lane) {
-                        continue;
-                    }
-                    for &v in view.targets_of(u) {
-                        if !informed.contains(v) {
-                            counter.add(v);
-                        }
-                    }
-                }
-            }
-            counter.drain_sole_receivers(|v| {
-                informed.insert(v);
-                participants[plan.shard_of(v)].push(v);
-            });
-
-            informed_by_round.push(informed.count());
-            if informed.count() == n {
-                completion_round = Some(round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                for list in &mut active {
-                    list.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-                }
-            }
-        }
-
-        FastRadioOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        }
-    }
-
-    /// The 64-lane batch executed shard-at-a-time; **bit-identical** to
-    /// [`run_batch`](Self::run_batch) for every plan. The union
-    /// participant list is kept per shard; per-node lane state (`act`,
-    /// informed words, collision accumulators) stays global. Each round
-    /// runs the epoch refilter and the transmit pass one shard at a
-    /// time, accumulating the `≥ 1` / `≥ 2` collision masks across all
-    /// shards before the single sole-receiver drain, and the
-    /// lane-exhaustion bookkeeping fires only after *every* shard's
-    /// refilter has contributed to the round's participation union —
-    /// the same points in the round where the monolithic batch reads
-    /// them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded(&self, plan: &ShardPlan, p: f64, block_seed: u64) -> FastRadioBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        self.run_batch_sharded_silent(
-            plan,
-            &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
-        )
-    }
-
-    /// [`run_batch_sharded`](Self::run_batch_sharded) generalized over
-    /// any `Silent` [`FaultModel`] (see
-    /// [`run_lane_silent`](Self::run_lane_silent) for the
-    /// byte-identity argument).
-    fn run_batch_sharded_silent<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-    ) -> FastRadioBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
-
-        let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
-        plist[plan.shard_of(self.source)].push(self.source);
-        let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let mut touched: Vec<u32> = Vec::new();
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                let mut any: LaneMask = 0;
-                for (s, list) in plist.iter_mut().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                    list.retain(|&v| {
-                        let vi = v as usize;
-                        let inf_v = informed.lanes(v);
-                        let mut un: LaneMask = 0;
-                        for &t in view.targets_of(v) {
-                            un |= !informed.lanes(t);
-                            if un & inf_v == inf_v {
-                                break;
-                            }
-                        }
-                        let m = inf_v & un;
-                        act[vi] = m;
-                        any |= m;
-                        if m == 0 {
-                            in_plist[vi] = false;
-                        }
-                        m != 0
-                    });
-                }
-                // Exhaustion is a whole-round property: read it only
-                // after every shard's refilter has been folded in.
-                let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
-                }
-            }
-            executed += 1;
-
-            for (s, list) in plist.iter().enumerate() {
-                if list.is_empty() {
-                    continue;
-                }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                for &v in list {
-                    let a = act[v as usize];
-                    if a == 0 {
-                        continue;
-                    }
-                    let mut un_v: LaneMask = 0;
-                    for &t in view.targets_of(v) {
-                        un_v |= !informed.lanes(t);
-                        if un_v & a == a {
-                            break;
-                        }
-                    }
-                    let useful = a & un_v;
-                    if useful == 0 {
-                        continue;
-                    }
-                    let tx = useful & !model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
-                    if tx == 0 {
-                        continue;
-                    }
-                    for &t in view.targets_of(v) {
-                        let ti = t as usize;
-                        let need = tx & !informed.lanes(t);
-                        if need == 0 {
-                            continue;
-                        }
-                        if once[ti] | twice[ti] == 0 {
-                            touched.push(t);
-                        }
-                        twice[ti] |= once[ti] & need;
-                        once[ti] |= need;
-                    }
-                }
-            }
-
-            let mut changed = false;
-            for &t in &touched {
-                let ti = t as usize;
-                let hear = once[ti] & !twice[ti];
-                once[ti] = 0;
-                twice[ti] = 0;
-                if hear == 0 {
-                    continue;
-                }
-                let newly = informed.insert_masked(t, hear);
-                if newly != 0 {
-                    changed = true;
-                    if !in_plist[ti] {
-                        in_plist[ti] = true;
-                        act[ti] = 0;
-                        plist[plan.shard_of(t)].push(t);
-                    }
-                }
-            }
-            touched.clear();
-
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
-
-            if decay && j + 1 < epoch_len {
-                for list in &plist {
-                    for &v in list {
-                        let vi = v as usize;
-                        if act[vi] != 0 {
-                            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                        }
-                    }
-                }
-            }
-        }
-
-        FastRadioBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            exhausted,
-            exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
-        }
-    }
-
-    /// [`run_batch_sharded`](Self::run_batch_sharded) with the round's
-    /// independent shard passes fanned across up to `threads` scoped
-    /// workers; **byte-identical** to the single-threaded sharded batch
-    /// (and hence to the monolithic batch) for every `threads × plan`
-    /// combination. Both the epoch refilter and the transmit pass read
-    /// only state frozen for the pass (the informed lane masks are not
-    /// written until the single sole-receiver drain), so workers return
-    /// their writes as data and the sequential ascending-shard merge
-    /// replays the exact single-threaded write sequence — including the
-    /// `touched` list order the drain visits (see DESIGN.md, "Parallel
-    /// shard passes").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded_threads(
-        &self,
-        plan: &ShardPlan,
-        p: f64,
-        block_seed: u64,
-        threads: usize,
-    ) -> FastRadioBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let model = Omission::new(p);
-        self.run_batch_sharded_model_threads(plan, &model, block_seed, threads)
-    }
-
-    /// [`run_batch_sharded_model`](Self::run_batch_sharded_model) with
-    /// thread-parallel shard passes; byte-identical to it for every
-    /// thread count. Only the silent pass parallelizes — the
-    /// corrupted-value pass carries per-node heard values through a
-    /// sequential epoch walk and delegates unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model_threads<M: FaultModel + Sync + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-        threads: usize,
-    ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => {
-                if threads <= 1 || plan.shard_count() <= 1 {
-                    self.run_batch_sharded_silent(plan, model, &tapes, &decay_tape)
-                } else {
-                    self.run_batch_sharded_silent_threads(plan, model, &tapes, &decay_tape, threads)
-                }
-            }
-            _ => self.run_batch_values_sharded(plan, model, &tapes, &decay_tape),
-        }
-    }
-
-    /// Thread-parallel evolution of
-    /// [`run_batch_sharded_silent`](Self::run_batch_sharded_silent).
-    /// Refilter workers return each shard's surviving participants with
-    /// their fresh activity masks plus the shard's participation union;
-    /// transmit workers return `(target, need)` delivery events
-    /// computed against the frozen informed masks — exactly the masks
-    /// the single-threaded pass reads, since `informed` is only written
-    /// in the drain. The ascending-shard merge then accumulates the
-    /// `≥ 1`/`≥ 2` collision words and the `touched` order identically
-    /// to the single-threaded pass, and the drain, crossing
-    /// bookkeeping, and Decay thinning run sequentially unchanged.
-    fn run_batch_sharded_silent_threads<M: FaultModel + Sync + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-        threads: usize,
-    ) -> FastRadioBatch {
-        struct RefilterPass {
-            retained: Vec<(u32, LaneMask)>,
-            dropped: Vec<u32>,
-            any: LaneMask,
-        }
-
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
-
-        let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
-        plist[plan.shard_of(self.source)].push(self.source);
-        let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                // Parallel refilter: workers read the frozen informed
-                // masks and their own shard's frozen participant list.
-                let passes = {
-                    let plist = &plist;
-                    let informed = &informed;
-                    shard_passes(k, threads, |s| {
-                        let mut pass = RefilterPass {
-                            retained: Vec::new(),
-                            dropped: Vec::new(),
-                            any: 0,
-                        };
-                        if plist[s].is_empty() {
-                            return pass;
-                        }
-                        let (start, end) = plan.range(s);
-                        let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                        for &v in &plist[s] {
-                            let inf_v = informed.lanes(v);
-                            let mut un: LaneMask = 0;
-                            for &t in view.targets_of(v) {
-                                un |= !informed.lanes(t);
-                                if un & inf_v == inf_v {
-                                    break;
-                                }
-                            }
-                            let m = inf_v & un;
-                            pass.any |= m;
-                            if m == 0 {
-                                pass.dropped.push(v);
-                            } else {
-                                pass.retained.push((v, m));
-                            }
-                        }
-                        pass
-                    })
-                };
-                let mut any: LaneMask = 0;
-                for (s, pass) in passes.into_iter().enumerate() {
-                    any |= pass.any;
-                    if pass.retained.is_empty() && pass.dropped.is_empty() {
-                        continue;
-                    }
-                    let list = &mut plist[s];
-                    list.clear();
-                    for (v, m) in pass.retained {
-                        act[v as usize] = m;
-                        list.push(v);
-                    }
-                    for v in pass.dropped {
-                        act[v as usize] = 0;
-                        in_plist[v as usize] = false;
-                    }
-                }
-                let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
-                }
-            }
-            executed += 1;
-
-            // Parallel transmit: `informed` is frozen until the drain,
-            // so the per-target `need` masks workers compute are the
-            // very masks the single-threaded pass reads. Events come
-            // back bucketed by the *listener's* shard so the merge can
-            // fan out too.
-            let events = {
-                let plist = &plist;
-                let act = &act;
-                let informed = &informed;
-                shard_passes(k, threads, |s| {
-                    let mut events: Vec<Vec<(u32, LaneMask)>> = vec![Vec::new(); k];
-                    if plist[s].is_empty() {
-                        return events;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                    for &v in &plist[s] {
-                        let a = act[v as usize];
-                        if a == 0 {
-                            continue;
-                        }
-                        let mut un_v: LaneMask = 0;
-                        for &t in view.targets_of(v) {
-                            un_v |= !informed.lanes(t);
-                            if un_v & a == a {
-                                break;
-                            }
-                        }
-                        let useful = a & un_v;
-                        if useful == 0 {
-                            continue;
-                        }
-                        let tx = useful & !model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
-                        if tx == 0 {
-                            continue;
-                        }
-                        for &t in view.targets_of(v) {
-                            let need = tx & !informed.lanes(t);
-                            if need != 0 {
-                                events[plan.shard_of(t)].push((t, need));
-                            }
-                        }
-                    }
-                    events
-                })
-            };
-
-            // Parallel merge + drain: each listener shard's event
-            // stream (transmit shards ascending, emission order within
-            // each) is the restriction of the sequential merge order to
-            // that shard, so folding it into that shard's slice of the
-            // once/twice planes replays the single-threaded first-touch
-            // order exactly. Workers emit `(t, hear)` in first-touch
-            // order and reset their slices; only the `informed` insert
-            // stays sequential.
-            let mut regrouped: Vec<Vec<Vec<(u32, LaneMask)>>> = vec![Vec::with_capacity(k); k];
-            for per_tx in events {
-                for (l, bucket) in per_tx.into_iter().enumerate() {
-                    regrouped[l].push(bucket);
-                }
-            }
-            // One listener shard's drain state: its event buckets (one
-            // per transmit shard, ascending) plus its slices of the
-            // once/twice hearing planes.
-            type ListenerDrain<'a> = (
-                Vec<Vec<(u32, LaneMask)>>,
-                &'a mut [LaneMask],
-                &'a mut [LaneMask],
-            );
-            let state: Vec<ListenerDrain> = {
-                let mut state = Vec::with_capacity(k);
-                let mut once_rest: &mut [LaneMask] = &mut once;
-                let mut twice_rest: &mut [LaneMask] = &mut twice;
-                let mut prev = 0u32;
-                for (l, buckets) in regrouped.into_iter().enumerate() {
-                    let (_, end) = plan.range(l);
-                    let (once_l, o_rest) = once_rest.split_at_mut((end - prev) as usize);
-                    let (twice_l, t_rest) = twice_rest.split_at_mut((end - prev) as usize);
-                    once_rest = o_rest;
-                    twice_rest = t_rest;
-                    prev = end;
-                    state.push((buckets, once_l, twice_l));
-                }
-                state
-            };
-            let drained = range_passes(state, threads, |l, (buckets, once_l, twice_l)| {
-                let (start, _) = plan.range(l);
-                let mut local_touched: Vec<u32> = Vec::new();
-                for bucket in &buckets {
-                    for &(t, need) in bucket {
-                        let ti = (t - start) as usize;
-                        if once_l[ti] | twice_l[ti] == 0 {
-                            local_touched.push(t);
-                        }
-                        twice_l[ti] |= once_l[ti] & need;
-                        once_l[ti] |= need;
-                    }
-                }
-                let mut heard: Vec<(u32, LaneMask)> = Vec::with_capacity(local_touched.len());
-                for t in local_touched {
-                    let ti = (t - start) as usize;
-                    let hear = once_l[ti] & !twice_l[ti];
-                    once_l[ti] = 0;
-                    twice_l[ti] = 0;
-                    if hear != 0 {
-                        heard.push((t, hear));
-                    }
-                }
-                heard
-            });
-
-            let mut changed = false;
-            for heard in drained {
-                for (t, hear) in heard {
-                    let ti = t as usize;
-                    let newly = informed.insert_masked(t, hear);
-                    if newly != 0 {
-                        changed = true;
-                        if !in_plist[ti] {
-                            in_plist[ti] = true;
-                            act[ti] = 0;
-                            plist[plan.shard_of(t)].push(t);
-                        }
-                    }
-                }
-            }
-
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
-
-            if decay && j + 1 < epoch_len {
-                for list in &plist {
-                    for &v in list {
-                        let vi = v as usize;
-                        if act[vi] != 0 {
-                            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                        }
-                    }
-                }
-            }
-        }
-
-        FastRadioBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            exhausted,
-            exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
-        }
+        self.core
+            .run_batch(p, block_seed)
+            .expect("RAM views are infallible")
     }
 
     /// Runs the model's placement preprocessing against this plan's
     /// CSR adjacency. Call once per plan before any `*_model` run of a
     /// placement-based model.
     pub fn preprocess<M: FaultModel + ?Sized>(&self, model: &mut M) {
-        model.preprocess_graph(&self.offsets, &self.neighbors, self.source);
+        let neighbors = self.neighbors();
+        model.preprocess_graph(neighbors.offsets(), neighbors.targets(), self.core.source);
     }
 
     /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
@@ -1398,17 +362,12 @@ impl FastRadio {
         lane: u32,
     ) -> FastRadioOutcome {
         assert!((lane as usize) < LANES, "lane out of range");
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
         match model.kind() {
-            CorruptionKind::Silent => self.run_lane_silent(model, &tapes, &decay_tape, lane),
-            _ => self.run_lane_values_sharded(
-                &ShardPlan::uniform(self.n, 1),
-                model,
-                &tapes,
-                &decay_tape,
-                lane,
-            ),
+            CorruptionKind::Silent => self
+                .core
+                .run_lane_model(model, block_seed, lane)
+                .expect("RAM views are infallible"),
+            _ => self.run_lane_values(model, block_seed, lane),
         }
     }
 
@@ -1423,73 +382,32 @@ impl FastRadio {
         model: &M,
         block_seed: u64,
     ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => self.run_batch_silent(model, &tapes, &decay_tape),
-            _ => self.run_batch_values_sharded(
-                &ShardPlan::uniform(self.n, 1),
-                model,
-                &tapes,
-                &decay_tape,
-            ),
-        }
+        self.run_batch_threads(model, block_seed, 1)
     }
 
-    /// [`run_lane_sharded`](Self::run_lane_sharded) under an arbitrary
-    /// [`FaultModel`]; bit-identical to
-    /// [`run_lane_model`](Self::run_lane_model) for every plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or the plan covers a different node count.
+    /// [`run_batch_model`](Self::run_batch_model) with each round's
+    /// collision drain fanned across up to `threads` workers, one
+    /// listener shard each — byte-identical for every thread count
+    /// (see [`ShardedRadio::with_threads`]). Only silent models on a
+    /// multi-shard plan have anything to fan out.
     #[must_use]
-    pub fn run_lane_sharded_model<M: FaultModel + ?Sized>(
+    pub fn run_batch_threads<M: FaultModel + ?Sized>(
         &self,
-        plan: &ShardPlan,
         model: &M,
         block_seed: u64,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => {
-                self.run_lane_sharded_silent(plan, model, &tapes, &decay_tape, lane)
-            }
-            _ => self.run_lane_values_sharded(plan, model, &tapes, &decay_tape, lane),
-        }
-    }
-
-    /// [`run_batch_sharded`](Self::run_batch_sharded) under an
-    /// arbitrary [`FaultModel`]; bit-identical to
-    /// [`run_batch_model`](Self::run_batch_model) for every plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
+        threads: usize,
     ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
         match model.kind() {
-            CorruptionKind::Silent => {
-                self.run_batch_sharded_silent(plan, model, &tapes, &decay_tape)
-            }
-            _ => self.run_batch_values_sharded(plan, model, &tapes, &decay_tape),
+            CorruptionKind::Silent => self
+                .core
+                .batch(model, block_seed, threads)
+                .expect("RAM views are infallible"),
+            _ => self.run_batch_values(model, block_seed),
         }
     }
 
-    /// Corrupted-value scalar backend, executed shard-at-a-time (the
-    /// monolithic entry points pass a single-shard plan — same code,
-    /// same iteration order, bit-identical). Faults never silence:
-    /// every active node transmits, so the collision process is the
+    /// Corrupted-value scalar backend. Faults never silence: every
+    /// active node transmits, so the collision process is the
     /// fault-free one and only message *values* are at stake. A sole
     /// receiver adopts whatever its one audible neighbor sent — a
     /// `Flip` transmitter sends its own value XOR the corruption coin,
@@ -1498,100 +416,83 @@ impl FastRadio {
     /// The returned informed set and growth curve track the correctly
     /// informed nodes (the quantity the paper's malicious feasibility
     /// results are about); participation and exhaustion bookkeeping
-    /// run on the heard set, exactly like the silent replay.
-    fn run_lane_values_sharded<M: FaultModel + ?Sized>(
+    /// run on the heard set, exactly like the silent replay. The pass
+    /// reads per-node values only, so no shard plan can change it.
+    fn run_lane_values<M: FaultModel + ?Sized>(
         &self,
-        plan: &ShardPlan,
         model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
+        block_seed: u64,
         lane: u32,
     ) -> FastRadioOutcome {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
+        let tapes = FaultTapes::new(block_seed);
+        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+        let neighbors = self.neighbors();
+        let (n, source, horizon) = (self.node_count(), self.core.source, self.core.horizon);
         let mut heard = InformedSet::new(n);
-        heard.insert(self.source);
+        heard.insert(source);
         let mut val = vec![false; n];
-        val[self.source as usize] = true;
+        val[source as usize] = true;
         let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
+        correct.insert(source);
+        let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
 
-        let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
-        participants[plan.shard_of(self.source)].push(self.source);
-        let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let has_unheard = |u: u32, heard: &InformedSet| {
+            neighbors
+                .neighbors_of(u as usize)
+                .iter()
+                .any(|&t| !heard.contains(t))
+        };
+        let mut participants: Vec<u32> = vec![source];
+        let mut active: Vec<u32> = Vec::new();
         // Sole-receiver resolution carrying the first transmitter's
         // value: `vonce[v]` is meaningful while `once[v]` is set.
         let mut once = vec![false; n];
         let mut twice = vec![false; n];
         let mut vonce = vec![false; n];
         let mut touched: Vec<u32> = Vec::new();
+        let (decay, epoch_len) = self.core.epochs();
 
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
+        for round in 1..=horizon {
             if completion_round.is_some() {
                 break;
             }
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
-                let mut any = false;
-                for (s, (parts, act_list)) in
-                    participants.iter_mut().zip(active.iter_mut()).enumerate()
-                {
-                    act_list.clear();
-                    if parts.is_empty() {
-                        continue;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                    parts.retain(|&u| view.targets_of(u).iter().any(|&t| !heard.contains(t)));
-                    act_list.extend_from_slice(parts);
-                    any |= !parts.is_empty();
-                }
-                if !any {
+                participants.retain(|&u| has_unheard(u, &heard));
+                if participants.is_empty() {
                     break;
                 }
+                active.clear();
+                active.extend_from_slice(&participants);
             }
 
-            for (s, act_list) in active.iter().enumerate() {
-                if act_list.is_empty() {
+            for &u in &active {
+                let ui = u as usize;
+                // Coins are site-addressed pure functions, so skipping
+                // the draw for a transmission no listener can use
+                // leaves every other read untouched.
+                if !has_unheard(u, &heard) {
                     continue;
                 }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                for &u in act_list {
-                    let ui = u as usize;
-                    // Coins are site-addressed pure functions, so
-                    // skipping the draw for a transmission no listener
-                    // can use leaves every other read untouched.
-                    if !view.targets_of(u).iter().any(|&t| !heard.contains(t)) {
+                let corrupt = model.corrupt_lane(&tapes, radio_site(r0, u), u, lane);
+                let txval = match model.kind() {
+                    CorruptionKind::Flip => val[ui] ^ corrupt,
+                    _ => val[ui] && !corrupt,
+                };
+                for &v in neighbors.neighbors_of(ui) {
+                    let vi = v as usize;
+                    if heard.contains(v) {
                         continue;
                     }
-                    let corrupt = model.corrupt_lane(tapes, radio_site(r0, u), u, lane);
-                    let txval = match model.kind() {
-                        CorruptionKind::Flip => val[ui] ^ corrupt,
-                        _ => val[ui] && !corrupt,
-                    };
-                    for &v in view.targets_of(u) {
-                        let vi = v as usize;
-                        if heard.contains(v) {
-                            continue;
-                        }
-                        if once[vi] {
-                            twice[vi] = true;
-                        } else {
-                            once[vi] = true;
-                            vonce[vi] = txval;
-                            touched.push(v);
-                        }
+                    if once[vi] {
+                        twice[vi] = true;
+                    } else {
+                        once[vi] = true;
+                        vonce[vi] = txval;
+                        touched.push(v);
                     }
                 }
             }
@@ -1599,7 +500,7 @@ impl FastRadio {
                 let vi = v as usize;
                 if !twice[vi] {
                     heard.insert(v);
-                    participants[plan.shard_of(v)].push(v);
+                    participants.push(v);
                     val[vi] = vonce[vi];
                     if val[vi] {
                         correct.insert(v);
@@ -1616,85 +517,61 @@ impl FastRadio {
             }
 
             if decay && j + 1 < epoch_len {
-                for list in &mut active {
-                    list.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-                }
+                active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
             }
         }
 
         FastRadioOutcome {
             n,
-            horizon: self.horizon,
+            horizon,
             completion_round,
             informed_by_round,
             informed: correct,
         }
     }
 
-    /// Corrupted-value 64-lane batch backend, executed shard-at-a-time
-    /// (the monolithic entry points pass a single-shard plan). The
-    /// machinery of the silent batch with the fault application moved
-    /// from transmissions to values: `useful` lanes all transmit, the
-    /// `≥ 1` / `≥ 2` collision masks gain a first-transmitter value
-    /// mask, and a sole receiver adopts that value. Counts, crossings,
-    /// and the final informed set track the correctly informed nodes;
-    /// participation and exhaustion run on the heard set.
-    fn run_batch_values_sharded<M: FaultModel + ?Sized>(
+    /// Corrupted-value 64-lane batch backend: the machinery of the
+    /// silent batch with the fault application moved from transmissions
+    /// to values — `useful` lanes all transmit, the `≥ 1` / `≥ 2`
+    /// collision masks gain a first-transmitter value mask, and a sole
+    /// receiver adopts that value. Counts, crossings, and the final
+    /// informed set track the correctly informed nodes; participation
+    /// and exhaustion run on the heard set.
+    fn run_batch_values<M: FaultModel + ?Sized>(
         &self,
-        plan: &ShardPlan,
         model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
+        block_seed: u64,
     ) -> FastRadioBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
+        let tapes = FaultTapes::new(block_seed);
+        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+        let neighbors = self.neighbors();
+        let (n, source, horizon) = (self.node_count(), self.core.source, self.core.horizon);
         let mut heard = BatchedInformedSet::new(n);
-        heard.insert_masked(self.source, !0);
+        heard.insert_masked(source, !0);
         let mut value_masks = vec![0u64; n];
-        value_masks[self.source as usize] = !0;
+        value_masks[source as usize] = !0;
         let mut correct_counts = LaneCounter::new();
         correct_counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
+        let mut crossings = Crossings::new(n);
 
         let plane_width = (usize::BITS - n.leading_zeros()) as usize;
         let mut count_arena: Vec<u64> = Vec::new();
         let mut executed = 0usize;
+        let mut exhaustion = Exhaustion::new();
 
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
-
-        let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
-        plist[plan.shard_of(self.source)].push(self.source);
+        let mut plist: Vec<u32> = vec![source];
         let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
+        in_plist[source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
 
         let mut once: Vec<LaneMask> = vec![0; n];
         let mut twice: Vec<LaneMask> = vec![0; n];
         let mut vonce: Vec<LaneMask> = vec![0; n];
         let mut touched: Vec<u32> = Vec::new();
+        let (decay, epoch_len) = self.core.epochs();
 
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
+        for round in 1..=horizon {
+            let live = !(crossings.completed | exhaustion.lanes);
             if live == 0 {
                 break;
             }
@@ -1702,92 +579,54 @@ impl FastRadio {
             let j = r0 % epoch_len;
             if j == 0 {
                 let mut any: LaneMask = 0;
-                for (s, list) in plist.iter_mut().enumerate() {
-                    if list.is_empty() {
-                        continue;
+                plist.retain(|&v| {
+                    let m = participation(&heard, v, neighbors.neighbors_of(v as usize));
+                    act[v as usize] = m;
+                    any |= m;
+                    if m == 0 {
+                        in_plist[v as usize] = false;
                     }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                    list.retain(|&v| {
-                        let vi = v as usize;
-                        let inf_v = heard.lanes(v);
-                        let mut un: LaneMask = 0;
-                        for &t in view.targets_of(v) {
-                            un |= !heard.lanes(t);
-                            if un & inf_v == inf_v {
-                                break;
-                            }
-                        }
-                        let m = inf_v & un;
-                        act[vi] = m;
-                        any |= m;
-                        if m == 0 {
-                            in_plist[vi] = false;
-                        }
-                        m != 0
-                    });
-                }
-                let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
+                    m != 0
+                });
+                if exhaustion.record(live, any, executed) {
+                    break;
                 }
             }
             executed += 1;
 
-            for (s, list) in plist.iter().enumerate() {
-                if list.is_empty() {
+            for &v in &plist {
+                let a = act[v as usize];
+                if a == 0 {
                     continue;
                 }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                for &v in list {
-                    let a = act[v as usize];
-                    if a == 0 {
+                let row = neighbors.neighbors_of(v as usize);
+                let useful = a & unheard_lanes(&heard, row, a);
+                if useful == 0 {
+                    continue;
+                }
+                // Every useful lane transmits; the coin corrupts the
+                // delivered value instead of the delivery.
+                let corrupt = model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
+                let txval = match model.kind() {
+                    CorruptionKind::Flip => (value_masks[v as usize] ^ corrupt) & useful,
+                    _ => value_masks[v as usize] & !corrupt & useful,
+                };
+                for &t in row {
+                    let ti = t as usize;
+                    let need = useful & !heard.lanes(t);
+                    if need == 0 {
                         continue;
                     }
-                    let mut un_v: LaneMask = 0;
-                    for &t in view.targets_of(v) {
-                        un_v |= !heard.lanes(t);
-                        if un_v & a == a {
-                            break;
-                        }
+                    if once[ti] | twice[ti] == 0 {
+                        touched.push(t);
                     }
-                    let useful = a & un_v;
-                    if useful == 0 {
-                        continue;
-                    }
-                    // Every useful lane transmits; the coin corrupts
-                    // the delivered value instead of the delivery.
-                    let corrupt = model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
-                    let txval = match model.kind() {
-                        CorruptionKind::Flip => (value_masks[v as usize] ^ corrupt) & useful,
-                        _ => value_masks[v as usize] & !corrupt & useful,
-                    };
-                    for &t in view.targets_of(v) {
-                        let ti = t as usize;
-                        let need = useful & !heard.lanes(t);
-                        if need == 0 {
-                            continue;
-                        }
-                        if once[ti] | twice[ti] == 0 {
-                            touched.push(t);
-                        }
-                        // Lanes where `v` is the first transmitter at
-                        // `t` record `v`'s value; a second transmitter
-                        // marks the collision and the value is moot.
-                        let first = need & !once[ti];
-                        vonce[ti] |= txval & first;
-                        twice[ti] |= once[ti] & need;
-                        once[ti] |= need;
-                    }
+                    // Lanes where `v` is the first transmitter at `t`
+                    // record `v`'s value; a second transmitter marks
+                    // the collision and the value is moot.
+                    let first = need & !once[ti];
+                    vonce[ti] |= txval & first;
+                    twice[ti] |= once[ti] & need;
+                    once[ti] |= need;
                 }
             }
 
@@ -1810,7 +649,7 @@ impl FastRadio {
                     if !in_plist[ti] {
                         in_plist[ti] = true;
                         act[ti] = 0;
-                        plist[plan.shard_of(t)].push(t);
+                        plist.push(t);
                     }
                 }
             }
@@ -1818,25 +657,15 @@ impl FastRadio {
 
             count_arena.extend_from_slice(correct_counts.planes());
             count_arena.resize(executed * plane_width, 0);
-
             if changed {
-                let comp = correct_counts.eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = correct_counts.ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
+                crossings.record(&correct_counts, round);
             }
 
             if decay && j + 1 < epoch_len {
-                for list in &plist {
-                    for &v in list {
-                        let vi = v as usize;
-                        if act[vi] != 0 {
-                            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                        }
+                for &v in &plist {
+                    let vi = v as usize;
+                    if act[vi] != 0 {
+                        act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
                     }
                 }
             }
@@ -1844,12 +673,12 @@ impl FastRadio {
 
         FastRadioBatch {
             n,
-            horizon: self.horizon,
+            horizon,
             informed: BatchedInformedSet::from_parts(value_masks, correct_counts),
-            completion_round,
-            almost_round,
-            exhausted,
-            exhaust_end,
+            completion_round: crossings.completion,
+            almost_round: crossings.almost,
+            exhausted: exhaustion.lanes,
+            exhaust_end: exhaustion.end,
             plane_width,
             count_arena,
             executed,
@@ -1857,17 +686,70 @@ impl FastRadio {
     }
 }
 
-/// Out-of-core radio broadcasting: the [`FastRadio::run_lane`]
-/// algorithm executed against a [`ShardStore`], loading one shard's
-/// CSR rows at a time through a reusable [`ShardScratch`] so peak RSS
+/// The lanes of `informed` in which node `v` knows the message and some
+/// neighbor in `row` does not — `v`'s participation mask at an epoch
+/// boundary.
+fn participation(informed: &BatchedInformedSet, v: u32, row: &[u32]) -> LaneMask {
+    let inf_v = informed.lanes(v);
+    inf_v & unheard_lanes(informed, row, inf_v)
+}
+
+/// The lanes in which some node of `row` is still uninformed, scanned
+/// only until every lane of `want` is covered (more neighbors cannot
+/// widen a mask restricted to `want`).
+fn unheard_lanes(informed: &BatchedInformedSet, row: &[u32], want: LaneMask) -> LaneMask {
+    let mut un: LaneMask = 0;
+    for &t in row {
+        un |= !informed.lanes(t);
+        if un & want == want {
+            break;
+        }
+    }
+    un
+}
+
+/// Lanes whose replay broke at an epoch boundary with no participants
+/// left, and the number of rounds each had executed.
+struct Exhaustion {
+    lanes: LaneMask,
+    end: Vec<usize>,
+}
+
+impl Exhaustion {
+    fn new() -> Self {
+        Exhaustion {
+            lanes: 0,
+            end: vec![0; LANES],
+        }
+    }
+
+    /// Retires the `live` lanes outside this boundary's participation
+    /// union `any` after `executed` rounds — exactly where the scalar
+    /// replay breaks, *before* executing the round. Returns whether no
+    /// live lane is left.
+    fn record(&mut self, live: LaneMask, any: LaneMask, executed: usize) -> bool {
+        let newly = live & !any;
+        let mut bits = newly;
+        while bits != 0 {
+            self.end[bits.trailing_zeros() as usize] = executed;
+            bits &= bits - 1;
+        }
+        self.lanes |= newly;
+        live & any == 0
+    }
+}
+
+/// Radio broadcasting over a [`ShardStore`]: the one silent round loop
+/// behind both [`FastRadio`]'s lanes and batches (a RAM store) and
+/// out-of-core runs, loading one shard's CSR rows at a time so peak RSS
 /// stays near one shard plus the node-level state — the `n = 10⁸`
 /// path. Outcomes are **bit-identical** to [`FastRadio::run_lane`] on
-/// the same adjacency: the coin tape and sites are the same, the
-/// global [`CollisionCounter`] accumulates across every shard's
-/// transmit pass before the round's single sole-receiver drain, and
-/// the epoch-exhaustion sweep reads the participation union only after
-/// every segment's refilter has been folded in — the same points in
-/// the round where the monolithic replay reads them.
+/// the same adjacency for every plan and store: the coin tape and sites
+/// are the same, collision state accumulates across every shard's
+/// transmit pass before the round's single sole-receiver drain, and the
+/// epoch-exhaustion sweep reads the participation union only after
+/// every shard's refilter has been folded in — the same points in the
+/// round where a one-shard pass reads them.
 pub struct ShardedRadio {
     store: ShardStore,
     source: u32,
@@ -1886,7 +768,8 @@ impl ShardedRadio {
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range.
+    /// Panics if `source` is out of range, or if the schedule is
+    /// [`FastRadioSchedule::Decay`] with `epoch_len == 0`.
     #[must_use]
     pub fn new(
         store: ShardStore,
@@ -1894,6 +777,9 @@ impl ShardedRadio {
         horizon: usize,
         schedule: FastRadioSchedule,
     ) -> Self {
+        if let FastRadioSchedule::Decay { epoch_len } = schedule {
+            assert!(epoch_len > 0, "decay epochs need at least one round");
+        }
         assert!(
             (source as usize) < store.node_count(),
             "source out of range"
@@ -1908,8 +794,9 @@ impl ShardedRadio {
         }
     }
 
-    /// Sets the worker count for the parallel collision drain
-    /// (byte-outcome-invisible; clamped to at least 1).
+    /// Sets the worker count for the per-round collision drain, which
+    /// fans out over listener shards (byte-outcome-invisible; clamped
+    /// to at least 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -1955,6 +842,16 @@ impl ShardedRadio {
         self.schedule
     }
 
+    /// Whether participation decays within an epoch, and the epoch
+    /// length (every round is its own epoch under
+    /// [`FastRadioSchedule::AllInformed`]: everyone re-activates).
+    fn epochs(&self) -> (bool, usize) {
+        match self.schedule {
+            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
+            FastRadioSchedule::AllInformed => (false, 1),
+        }
+    }
+
     /// Scalar lane replay over the shard store; bit-identical to
     /// [`FastRadio::run_lane`] on the same adjacency. Each round makes
     /// one shard-at-a-time transmit pass (plus, at epoch boundaries,
@@ -1981,13 +878,15 @@ impl ShardedRadio {
         lane: u32,
     ) -> Result<FastRadioOutcome, ShardError> {
         assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
         self.run_lane_model(&Omission::new(p), block_seed, lane)
     }
 
     /// [`run_lane`](Self::run_lane) under an arbitrary `Silent`
-    /// [`FaultModel`]. Run the model's preprocessing against the
-    /// in-core CSR before sharding if the model needs placement.
+    /// [`FaultModel`]: a corrupted transmission is silenced, everything
+    /// else is the omission algorithm (the [`Omission`] instance reads
+    /// exactly the omission coins). Run the model's preprocessing
+    /// against the in-core CSR before sharding if the model needs
+    /// placement.
     ///
     /// # Errors
     ///
@@ -2012,27 +911,23 @@ impl ShardedRadio {
         );
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let plan = self.store.plan().clone();
+        let plan = self.store.plan();
         let n = plan.node_count();
         let k = plan.shard_count();
         let mut loader = PassLoader::new(&self.store, self.prefetch);
-        let mut sorted: Vec<u32> = Vec::new();
-        let mut full_pass: Vec<usize> = Vec::new();
         let mut informed = InformedSet::new(n);
         informed.insert(self.source);
         let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
 
+        // Informed nodes that may still have uninformed neighbors, per
+        // shard; re-filtered at every epoch boundary.
         let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
         participants[plan.shard_of(self.source)].push(self.source);
         let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut counter = ShardedCollisions::new(plan.bounds());
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
+        let (decay, epoch_len) = self.epochs();
 
         for round in 1..=self.horizon {
             if completion_round.is_some() {
@@ -2041,16 +936,7 @@ impl ShardedRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
-                // Announce the refilter pass's full-view shards before
-                // touching any of them, so the reader thread works
-                // ahead of the compute.
-                full_pass.clear();
-                for (s, parts) in participants.iter().enumerate() {
-                    if !parts.is_empty() && !loader.use_sparse(s, parts.len()) {
-                        full_pass.push(s);
-                    }
-                }
-                loader.begin_pass(&full_pass);
+                loader.begin_rows_pass(|s| participants[s].len());
                 let mut any = false;
                 for (s, (parts, act_list)) in
                     participants.iter_mut().zip(active.iter_mut()).enumerate()
@@ -2059,13 +945,7 @@ impl ShardedRadio {
                     if parts.is_empty() {
                         continue;
                     }
-                    let sparse = loader.use_sparse(s, parts.len());
-                    if sparse {
-                        sorted.clear();
-                        sorted.extend_from_slice(parts);
-                        sorted.sort_unstable();
-                    }
-                    let view = loader.view_pass(s, &sorted, sparse)?;
+                    let view = loader.view_pass(s, parts)?;
                     parts.retain(|&u| view.targets_of(u).iter().any(|&t| !informed.contains(t)));
                     act_list.extend_from_slice(parts);
                     any |= !parts.is_empty();
@@ -2077,27 +957,16 @@ impl ShardedRadio {
 
             // The collision counter accumulates across every shard's
             // transmit pass and drains exactly once per round, so
-            // cross-shard collisions block exactly as in the
-            // monolithic replay.
-            full_pass.clear();
-            for (s, act_list) in active.iter().enumerate() {
-                if !act_list.is_empty() && !loader.use_sparse(s, act_list.len()) {
-                    full_pass.push(s);
-                }
-            }
-            loader.begin_pass(&full_pass);
+            // cross-shard collisions block exactly as in a one-shard
+            // pass.
+            loader.begin_rows_pass(|s| active[s].len());
             for (s, act_list) in active.iter().enumerate() {
                 if act_list.is_empty() {
                     continue;
                 }
-                let sparse = loader.use_sparse(s, act_list.len());
-                if sparse {
-                    sorted.clear();
-                    sorted.extend_from_slice(act_list);
-                    sorted.sort_unstable();
-                }
-                let view = loader.view_pass(s, &sorted, sparse)?;
+                let view = loader.view_pass(s, act_list)?;
                 for &u in act_list {
+                    // The coin is an omission: `true` silences `u`.
                     if model.corrupt_lane(&tapes, radio_site(r0, u), u, lane) {
                         continue;
                     }
@@ -2110,6 +979,7 @@ impl ShardedRadio {
             }
             counter.drain_sole_receivers(self.threads, |s, v| {
                 informed.insert(v);
+                // Joins the transmitters at the next epoch start.
                 participants[s].push(v);
             });
 
@@ -2118,6 +988,9 @@ impl ShardedRadio {
                 completion_round = Some(round);
             }
 
+            // Decay: a node active in round `j` stays active for round
+            // `j + 1` iff its tape coin is heads (faults never touch
+            // the coin stream — a failed transmitter still decays).
             if decay && j + 1 < epoch_len {
                 for list in &mut active {
                     list.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
@@ -2135,10 +1008,10 @@ impl ShardedRadio {
     }
 
     /// One batched 64-lane block over the shard store — the lane
-    /// semantics of [`FastRadio::run_batch_sharded`], with every
-    /// segment read amortized across all 64 trials. Per-lane outcomes
-    /// are byte-identical to 64 scalar [`run_lane`](Self::run_lane)
-    /// replays of the same block seed.
+    /// semantics of [`FastRadio::run_batch`], with every segment read
+    /// amortized across all 64 trials. Per-lane outcomes are
+    /// byte-identical to 64 scalar [`run_lane`](Self::run_lane) replays
+    /// of the same block seed.
     ///
     /// # Errors
     ///
@@ -2173,147 +1046,105 @@ impl ShardedRadio {
             model.kind() == CorruptionKind::Silent,
             "out-of-core radio supports silent fault models only"
         );
+        self.batch(model, block_seed, self.threads)
+    }
+
+    /// The batch round loop. A lane's replay stops executing rounds
+    /// once it completes or once an epoch boundary finds it without
+    /// participants; the batch keeps looping while *any* lane is live
+    /// and records each lane's stop round so per-lane growth curves cut
+    /// off exactly where the scalar replay's do. With `threads > 1` each
+    /// round's collision drain fans out over listener shards.
+    fn batch<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        threads: usize,
+    ) -> Result<FastRadioBatch, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let plan = self.store.plan().clone();
+        let plan = self.store.plan();
         let n = plan.node_count();
         let k = plan.shard_count();
         let mut loader = PassLoader::new(&self.store, self.prefetch);
-        let mut sorted: Vec<u32> = Vec::new();
-        let mut full_pass: Vec<usize> = Vec::new();
         let mut informed = BatchedInformedSet::new(n);
         informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
+        let mut crossings = Crossings::new(n);
 
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
+        // Per-round snapshots of the count planes, in one flat arena.
         let plane_width = (usize::BITS - n.leading_zeros()) as usize;
         let mut count_arena: Vec<u64> = Vec::new();
         let mut executed = 0usize;
+        let mut exhaustion = Exhaustion::new();
 
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
-
+        // Union participant lists, per shard: nodes with a nonzero
+        // per-lane participation mask in some lane. `act` is the
+        // per-node lane mask of *currently transmitting* participants —
+        // rebuilt at every epoch boundary, thinned by Decay coins
+        // within an epoch. Nodes informed mid-epoch join the list with
+        // an empty mask and pick up their lanes at the next boundary,
+        // exactly as the scalar replay's `participants` / `active`
+        // split.
         let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
         plist[plan.shard_of(self.source)].push(self.source);
         let mut in_plist = vec![false; n];
         in_plist[self.source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let mut touched: Vec<u32> = Vec::new();
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
+        let mut collisions = ShardedLaneCollisions::new(plan.bounds());
+        let (decay, epoch_len) = self.epochs();
 
         for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
+            let live = !(crossings.completed | exhaustion.lanes);
             if live == 0 {
                 break;
             }
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
-                full_pass.clear();
-                for (s, list) in plist.iter().enumerate() {
-                    if !list.is_empty() && !loader.use_sparse(s, list.len()) {
-                        full_pass.push(s);
-                    }
-                }
-                loader.begin_pass(&full_pass);
+                loader.begin_rows_pass(|s| plist[s].len());
                 let mut any: LaneMask = 0;
                 for (s, list) in plist.iter_mut().enumerate() {
                     if list.is_empty() {
                         continue;
                     }
-                    let sparse = loader.use_sparse(s, list.len());
-                    if sparse {
-                        sorted.clear();
-                        sorted.extend_from_slice(list);
-                        sorted.sort_unstable();
-                    }
-                    let view = loader.view_pass(s, &sorted, sparse)?;
+                    let view = loader.view_pass(s, list)?;
                     list.retain(|&v| {
-                        let vi = v as usize;
-                        let inf_v = informed.lanes(v);
-                        let mut un: LaneMask = 0;
-                        for &t in view.targets_of(v) {
-                            un |= !informed.lanes(t);
-                            if un & inf_v == inf_v {
-                                break;
-                            }
-                        }
-                        let m = inf_v & un;
-                        act[vi] = m;
+                        let m = participation(&informed, v, view.targets_of(v));
+                        act[v as usize] = m;
                         any |= m;
                         if m == 0 {
-                            in_plist[vi] = false;
+                            in_plist[v as usize] = false;
                         }
                         m != 0
                     });
                 }
                 // Exhaustion is a whole-round property: read it only
                 // after every shard's refilter has been folded in.
-                let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
+                if exhaustion.record(live, any, executed) {
+                    break;
                 }
             }
             executed += 1;
 
-            full_pass.clear();
-            for (s, list) in plist.iter().enumerate() {
-                if !list.is_empty() && !loader.use_sparse(s, list.len()) {
-                    full_pass.push(s);
-                }
-            }
-            loader.begin_pass(&full_pass);
+            loader.begin_rows_pass(|s| plist[s].len());
             for (s, list) in plist.iter().enumerate() {
                 if list.is_empty() {
                     continue;
                 }
-                let sparse = loader.use_sparse(s, list.len());
-                if sparse {
-                    sorted.clear();
-                    sorted.extend_from_slice(list);
-                    sorted.sort_unstable();
-                }
-                let view = loader.view_pass(s, &sorted, sparse)?;
+                let view = loader.view_pass(s, list)?;
                 for &v in list {
                     let a = act[v as usize];
                     if a == 0 {
                         continue;
                     }
-                    let mut un_v: LaneMask = 0;
-                    for &t in view.targets_of(v) {
-                        un_v |= !informed.lanes(t);
-                        if un_v & a == a {
-                            break;
-                        }
-                    }
-                    let useful = a & un_v;
+                    // Coins are site-addressed pure functions, so
+                    // skipping the draw for a transmission no listener
+                    // can use leaves every other lane read untouched.
+                    // `useful` restricts the draw to lanes where some
+                    // neighbor is still uninformed; the excluded lanes
+                    // would contribute nothing at any listener below.
+                    let row = view.targets_of(v);
+                    let useful = a & unheard_lanes(&informed, row, a);
                     if useful == 0 {
                         continue;
                     }
@@ -2321,54 +1152,38 @@ impl ShardedRadio {
                     if tx == 0 {
                         continue;
                     }
-                    for &t in view.targets_of(v) {
-                        let ti = t as usize;
+                    for &t in row {
+                        // Restrict collision tracking to the lanes where
+                        // `t` is still uninformed — the scalar replay's
+                        // `!informed.contains(v)` guard, lane-sliced.
+                        // The informed words are frozen until the drain,
+                        // so dropping the other lanes here leaves every
+                        // lane that counts identical.
                         let need = tx & !informed.lanes(t);
-                        if need == 0 {
-                            continue;
+                        if need != 0 {
+                            collisions.add(t, need);
                         }
-                        if once[ti] | twice[ti] == 0 {
-                            touched.push(t);
-                        }
-                        twice[ti] |= once[ti] & need;
-                        once[ti] |= need;
                     }
                 }
             }
 
             let mut changed = false;
-            for &t in &touched {
-                let ti = t as usize;
-                let hear = once[ti] & !twice[ti];
-                once[ti] = 0;
-                twice[ti] = 0;
-                if hear == 0 {
-                    continue;
-                }
-                let newly = informed.insert_masked(t, hear);
-                if newly != 0 {
+            collisions.drain(threads, |s, t, hear| {
+                if informed.insert_masked(t, hear) != 0 {
                     changed = true;
+                    let ti = t as usize;
                     if !in_plist[ti] {
                         in_plist[ti] = true;
                         act[ti] = 0;
-                        plist[plan.shard_of(t)].push(t);
+                        plist[s].push(t);
                     }
                 }
-            }
-            touched.clear();
+            });
 
             count_arena.extend_from_slice(informed.counts().planes());
             count_arena.resize(executed * plane_width, 0);
-
             if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
+                crossings.record(informed.counts(), round);
             }
 
             if decay && j + 1 < epoch_len {
@@ -2387,10 +1202,10 @@ impl ShardedRadio {
             n,
             horizon: self.horizon,
             informed,
-            completion_round,
-            almost_round,
-            exhausted,
-            exhaust_end,
+            completion_round: crossings.completion,
+            almost_round: crossings.almost,
+            exhausted: exhaustion.lanes,
+            exhaust_end: exhaustion.end,
             plane_width,
             count_arena,
             executed,
@@ -2886,18 +1701,19 @@ mod tests {
             FastRadioSchedule::AllInformed,
         ] {
             let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded =
+                    FastRadio::new(csr.clone(), g.node(0), 600, schedule).with_shards(shards);
                 for p in [0.0, 0.3, 0.8] {
                     let seed = 53 + shards as u64;
                     assert_eq!(
-                        fr.run_batch_sharded(&plan, p, seed),
+                        sharded.run_batch(p, seed),
                         fr.run_batch(p, seed),
                         "batch diverged: {schedule:?} shards={shards} p={p}"
                     );
                     for lane in [0u32, 19, 63] {
                         assert_eq!(
-                            fr.run_lane_sharded(&plan, p, seed, lane),
+                            sharded.run_lane(p, seed, lane),
                             fr.run_lane(p, seed, lane),
                             "lane diverged: {schedule:?} shards={shards} p={p} lane={lane}"
                         );
@@ -2916,14 +1732,15 @@ mod tests {
             FastRadioSchedule::AllInformed,
         ] {
             let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded =
+                    FastRadio::new(csr.clone(), g.node(0), 600, schedule).with_shards(shards);
                 for p in [0.0, 0.3, 0.8] {
                     let seed = 213 + shards as u64;
                     let mono = fr.run_batch(p, seed);
-                    for threads in [1usize, 2, 4, 9] {
+                    for threads in [1usize, 4] {
                         assert_eq!(
-                            fr.run_batch_sharded_threads(&plan, p, seed, threads),
+                            sharded.run_batch_threads(&Omission::new(p), seed, threads),
                             mono,
                             "diverged: {schedule:?} shards={shards} threads={threads} p={p}"
                         );
@@ -3124,17 +1941,23 @@ mod tests {
         let flip = FlipFault::new(0.3);
         let models: [&dyn FaultModel; 2] = [&placed, &flip];
         for model in models {
-            for shards in [1usize, 2, 3, 7] {
-                let sp = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded = FastRadio::new(
+                    csr.clone(),
+                    g.node(0),
+                    600,
+                    FastRadioSchedule::Decay { epoch_len: 8 },
+                )
+                .with_shards(shards);
                 assert_eq!(
-                    fr.run_batch_sharded_model(&sp, model, 7),
+                    sharded.run_batch_model(model, 7),
                     fr.run_batch_model(model, 7),
                     "{} shards={shards}",
                     model.name()
                 );
                 for lane in [0u32, 9, 63] {
                     assert_eq!(
-                        fr.run_lane_sharded_model(&sp, model, 7, lane),
+                        sharded.run_lane_model(model, 7, lane),
                         fr.run_lane_model(model, 7, lane),
                         "{} shards={shards} lane={lane}",
                         model.name()

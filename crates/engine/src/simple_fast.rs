@@ -35,6 +35,11 @@
 //! fixed seed **shrinks monotonically in `p`** — a coupling the
 //! property tests exploit.
 //!
+//! The tape-addressed lane and batch run one phase walk,
+//! [`ShardedSimple`]'s, over a [`ShardStore`] of the tree's child lists:
+//! `FastSimple` owns them as an in-RAM store, and out-of-core runs read
+//! directed disk segments through the same walk.
+//!
 //! The `*_model` entry points generalize the same collapse to any
 //! [`FaultModel`]: a malicious parent still owns its phase exclusively,
 //! so the child-side majority vote over the `m` (possibly corrupted)
@@ -57,7 +62,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardView};
+use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardedCsr};
 use randcast_graph::{CsrGraph, NodeId};
 
 use crate::kernel::{
@@ -96,18 +101,12 @@ fn vote_site(t: usize, v: u32) -> u64 {
 
 /// A compiled fast-path Simple plan: the BFS spanning structure of the
 /// source component (from [`CsrGraph::bfs_tree`]) plus the phase length
-/// `m`.
-#[derive(Clone, Debug)]
+/// `m`. The child lists live in an in-RAM [`ShardStore`] viewed along a
+/// node-range plan (one shard unless [`with_shards`](Self::with_shards)
+/// says otherwise), and the omission lane and batch run the one phase
+/// walk of [`ShardedSimple`] over it — the walk out-of-core runs use.
 pub struct FastSimple {
-    /// The paper's `v1..vn` enumeration of the source component.
-    order: Vec<u32>,
-    /// `children[child_offsets[v]..child_offsets[v+1]]` are `v`'s tree
-    /// children.
-    child_offsets: Vec<u32>,
-    children: Vec<u32>,
-    source: u32,
-    n: usize,
-    m: usize,
+    core: ShardedSimple,
 }
 
 impl FastSimple {
@@ -120,30 +119,49 @@ impl FastSimple {
     /// Panics if `m == 0`.
     #[must_use]
     pub fn new(csr: &CsrGraph, source: NodeId, m: usize) -> Self {
-        assert!(m > 0, "phase length must be positive");
         let tree = csr.bfs_tree(u32::from(source));
         let order = tree.order().to_vec();
         let (child_offsets, children) = tree.into_children_csr();
+        let children = CsrGraph::from_raw_parts(child_offsets, children);
+        let plan = ShardPlan::uniform(children.node_count(), 1);
+        let store = ShardStore::Ram(ShardedCsr::new(children, plan));
         FastSimple {
+            core: ShardedSimple::new(store, order, u32::from(source), m),
+        }
+    }
+
+    /// Re-views the child lists along `shards` balanced node ranges
+    /// (clamped to `1..=n`), without copying them. Outcomes are
+    /// byte-identical for every shard count.
+    #[must_use]
+    pub fn with_shards(self, shards: usize) -> Self {
+        let ShardedSimple {
+            store,
             order,
-            child_offsets,
-            children,
-            source: u32::from(source),
-            n: csr.node_count(),
+            source,
             m,
+            ..
+        } = self.core;
+        let ShardStore::Ram(ram) = store else {
+            unreachable!("in-RAM kernels own a RAM store")
+        };
+        let plan = ShardPlan::uniform(ram.node_count(), shards);
+        let store = ShardStore::Ram(ShardedCsr::new(ram.into_csr(), plan));
+        FastSimple {
+            core: ShardedSimple::new(store, order, source, m),
         }
     }
 
     /// The phase length `m`.
     #[must_use]
     pub fn phase_len(&self) -> usize {
-        self.m
+        self.core.m
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.n
+        self.core.n
     }
 
     /// Total rounds one execution takes: `n · m`, exactly as the
@@ -151,11 +169,15 @@ impl FastSimple {
     /// reachable or not).
     #[must_use]
     pub fn total_rounds(&self) -> usize {
-        self.n * self.m
+        self.core.total_rounds()
     }
 
-    fn children_of(&self, v: usize) -> &[u32] {
-        &self.children[self.child_offsets[v] as usize..self.child_offsets[v + 1] as usize]
+    /// The tree's child lists.
+    fn children(&self) -> &CsrGraph {
+        self.core
+            .store
+            .ram_csr()
+            .expect("in-RAM kernels own a RAM store")
     }
 
     /// Executes one seeded broadcast with per-(node, round) transmitter
@@ -167,16 +189,17 @@ impl FastSimple {
     #[must_use]
     pub fn run(&self, p: f64, seed: u64) -> FastSimpleOutcome {
         let sampler = FaultSampler::new(p);
-        let n = self.n;
+        let (n, m) = (self.core.n, self.core.m);
+        let children = self.children();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
+        correct.insert(self.core.source);
         let almost_target = n.saturating_sub(1).max(1);
         let mut almost_round = (correct.count() >= almost_target).then_some(0);
         let mut last_adoption = 0usize;
 
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
+        for (phase, &u) in self.core.order.iter().enumerate() {
+            let kids = children.neighbors_of(u as usize);
             if kids.is_empty() {
                 continue;
             }
@@ -185,12 +208,12 @@ impl FastSimple {
             // on earlier outcomes, or the per-seed monotone coupling
             // (and determinism of the stream) would break.
             let t = sampler.first_success(&mut rng);
-            if t >= self.m || !correct.contains(u) {
+            if t >= m || !correct.contains(u) {
                 continue;
             }
             // All children hear the first working transmission of u's
             // phase simultaneously (rounds are 1-based).
-            let round = phase * self.m + t + 1;
+            let round = phase * m + t + 1;
             for &c in kids {
                 correct.insert(c);
             }
@@ -202,7 +225,7 @@ impl FastSimple {
 
         FastSimpleOutcome {
             n,
-            m: self.m,
+            m,
             almost_round,
             last_adoption,
             correct,
@@ -224,46 +247,9 @@ impl FastSimple {
     /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
     #[must_use]
     pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastSimpleOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            // Coins are pure functions of (site, lane): no draw-count
-            // discipline needed, skipping a dead subtree reads nothing.
-            if !correct.contains(u) || !adopt.lane(&tape, phase as u64, lane) {
-                continue;
-            }
-            let t = phase_t(&tape, phase as u64, lane, ln_p, self.m);
-            let round = phase * self.m + t + 1;
-            for &c in kids {
-                correct.insert(c);
-            }
-            last_adoption = round;
-            if almost_round.is_none() && correct.count() >= almost_target {
-                almost_round = Some(round);
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
+        self.core
+            .run_lane(p, block_seed, lane)
+            .expect("RAM views are infallible")
     }
 
     /// Runs all 64 trial lanes of block `block_seed` at once: the
@@ -273,292 +259,14 @@ impl FastSimple {
     /// correct). Lane `k` of the result is byte-identical to
     /// [`run_lane`](Self::run_lane)`(p, block_seed, k)`.
     ///
-    /// Round *numbers* (the almost-complete crossing and the last
-    /// adoption) need the within-phase transmission index `t`, which
-    /// only matters for at most two phases per lane; those lanes'
-    /// 53-bit uniforms are extracted lazily after the single forward
-    /// pass instead of being resolved for every node.
-    ///
     /// # Panics
     ///
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastSimpleBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct_masks: Vec<LaneMask> = vec![0; n];
-        correct_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        // Forward pass: resolve every internal node's 64 adoption coins.
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let eff = adopt.mask(&tape, phase as u64, correct_masks[u as usize]);
-            if eff == 0 {
-                continue;
-            }
-            // Tree children have unique parents: each child's mask is
-            // written exactly once, by its own parent's phase.
-            for &c in kids {
-                correct_masks[c as usize] = eff;
-            }
-            counts.add_masked(eff, kids.len() as u64);
-            if almost_done != !0 {
-                let crossed = counts.ge_mask(almost_target) & !almost_done;
-                if crossed != 0 {
-                    let mut bits = crossed;
-                    while bits != 0 {
-                        almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                        bits &= bits - 1;
-                    }
-                    almost_done |= crossed;
-                }
-            }
-        }
-
-        // Backward scan: each lane's last effective phase (adoption
-        // rounds grow with the phase, so the last effective phase holds
-        // the last adoption).
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
-        for (phase, &u) in self.order.iter().enumerate().rev() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let hit = correct_masks[kids[0] as usize] & !adopted;
-            if hit != 0 {
-                let mut bits = hit;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= hit;
-                if adopted == !0 {
-                    break;
-                }
-            }
-        }
-
-        // Lazy `t` extraction for the at most two stat-relevant phases
-        // per lane.
-        let mut last_adoption = vec![0usize; LANES];
-        for lane in 0..LANES as u32 {
-            let li = lane as usize;
-            if adopted >> lane & 1 == 1 {
-                let ph = last_phase[li] as usize;
-                last_adoption[li] = ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1;
-            }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
-                let ph = almost_phase[li] as usize;
-                almost_round[li] =
-                    Some(ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1);
-            }
-        }
-
-        FastSimpleBatch {
-            n,
-            m: self.m,
-            correct: BatchedInformedSet::from_parts(correct_masks, counts),
-            almost_round,
-            last_adoption,
-        }
-    }
-
-    /// Scalar lane replay executed shard-at-a-time. The enumeration
-    /// `order` is (BFS level, id)-sorted, so walking it in maximal
-    /// same-shard runs — acquiring one [`ShardView`] of the
-    /// children CSR per run — visits *exactly the monolithic phase
-    /// sequence*: sharding the Simple algorithm is a pure access-path
-    /// change, and the outcome is trivially **bit-identical** to
-    /// [`run_lane`](Self::run_lane) (each phase index stays the node's
-    /// global position in `order`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)`, `lane ≥ 64`, or the plan covers a
-    /// different node count.
-    #[must_use]
-    pub fn run_lane_sharded(
-        &self,
-        plan: &ShardPlan,
-        p: f64,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastSimpleOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if !kids.is_empty() && correct.contains(u) && adopt.lane(&tape, phase as u64, lane)
-                {
-                    let t = phase_t(&tape, phase as u64, lane, ln_p, self.m);
-                    let round = phase * self.m + t + 1;
-                    for &c in kids {
-                        correct.insert(c);
-                    }
-                    last_adoption = round;
-                    if almost_round.is_none() && correct.count() >= almost_target {
-                        almost_round = Some(round);
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
-    }
-
-    /// The 64-lane batch with its forward pass executed shard-at-a-time
-    /// (same maximal same-shard run walk as
-    /// [`run_lane_sharded`](Self::run_lane_sharded)); **bit-identical**
-    /// to [`run_batch`](Self::run_batch) for every plan. The backward
-    /// last-phase scan and the lazy `t` extraction read only per-node
-    /// values already in memory, so they stay monolithic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded(&self, plan: &ShardPlan, p: f64, block_seed: u64) -> FastSimpleBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct_masks: Vec<LaneMask> = vec![0; n];
-        correct_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if kids.is_empty() {
-                    phase += 1;
-                    continue;
-                }
-                let eff = adopt.mask(&tape, phase as u64, correct_masks[u as usize]);
-                if eff == 0 {
-                    phase += 1;
-                    continue;
-                }
-                for &c in kids {
-                    correct_masks[c as usize] = eff;
-                }
-                counts.add_masked(eff, kids.len() as u64);
-                if almost_done != !0 {
-                    let crossed = counts.ge_mask(almost_target) & !almost_done;
-                    if crossed != 0 {
-                        let mut bits = crossed;
-                        while bits != 0 {
-                            almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                            bits &= bits - 1;
-                        }
-                        almost_done |= crossed;
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
-        for (phase, &u) in self.order.iter().enumerate().rev() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let hit = correct_masks[kids[0] as usize] & !adopted;
-            if hit != 0 {
-                let mut bits = hit;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= hit;
-                if adopted == !0 {
-                    break;
-                }
-            }
-        }
-
-        let mut last_adoption = vec![0usize; LANES];
-        for lane in 0..LANES as u32 {
-            let li = lane as usize;
-            if adopted >> lane & 1 == 1 {
-                let ph = last_phase[li] as usize;
-                last_adoption[li] = ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1;
-            }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
-                let ph = almost_phase[li] as usize;
-                almost_round[li] =
-                    Some(ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1);
-            }
-        }
-
-        FastSimpleBatch {
-            n,
-            m: self.m,
-            correct: BatchedInformedSet::from_parts(correct_masks, counts),
-            almost_round,
-            last_adoption,
-        }
+        self.core
+            .run_batch(p, block_seed)
+            .expect("RAM views are infallible")
     }
 
     /// Hands `model` the plan's broadcast-tree topology — call once
@@ -566,11 +274,12 @@ impl FastSimple {
     /// ([`crate::kernel::WorstCasePlacement`]) can pin their node set;
     /// a no-op for the coin-only instances.
     pub fn preprocess<M: FaultModel + ?Sized>(&self, model: &mut M) {
+        let children = self.children();
         model.preprocess_tree(
-            &self.child_offsets,
-            &self.children,
-            &self.order,
-            self.source,
+            children.offsets(),
+            children.targets(),
+            &self.core.order,
+            self.core.source,
         );
     }
 
@@ -602,7 +311,7 @@ impl FastSimple {
         act: LaneMask,
         val: LaneMask,
     ) -> (LaneMask, LaneMask) {
-        let m = self.m;
+        let m = self.core.m;
         k.clear();
         for t in 0..m {
             k.add_masked(model.corrupt_mask(tapes, vote_site(t, u), u, act), 1);
@@ -632,15 +341,16 @@ impl FastSimple {
         phase: usize,
         lane: u32,
     ) -> usize {
+        let m = self.core.m;
         match model.kind() {
             CorruptionKind::Silent => {
-                let u = self.order[phase];
-                let t = (0..self.m)
+                let u = self.core.order[phase];
+                let t = (0..m)
                     .find(|&t| !model.corrupt_lane(tapes, vote_site(t, u), u, lane))
                     .expect("an adopting phase has a clean transmission");
-                phase * self.m + t + 1
+                phase * m + t + 1
             }
-            _ => (phase + 1) * self.m,
+            _ => (phase + 1) * m,
         }
     }
 
@@ -649,7 +359,8 @@ impl FastSimple {
     /// [`resolve_phase_model`](Self::resolve_phase_model) for the vote
     /// rules. I.i.d. `Silent` instances delegate to
     /// [`run_lane`](Self::run_lane) and stay byte-identical with the
-    /// omission kernel.
+    /// omission kernel. The model walk reads per-node values only, so
+    /// the shard plan cannot move it.
     ///
     /// The outcome's `correct` set holds the nodes whose final value is
     /// the source bit: under malicious corruption a node can be
@@ -673,19 +384,20 @@ impl FastSimple {
             }
         }
         let tapes = FaultTapes::new(block_seed);
+        let children = self.children();
         let bit: LaneMask = 1u64 << lane;
         let mut k = LaneCounter::new();
-        let n = self.n;
+        let n = self.core.n;
         let mut informed = InformedSet::new(n);
         let mut correct = InformedSet::new(n);
-        informed.insert(self.source);
-        correct.insert(self.source);
+        informed.insert(self.core.source);
+        correct.insert(self.core.source);
         let almost_target = n.saturating_sub(1).max(1);
         let mut almost_round = (correct.count() >= almost_target).then_some(0);
         let mut last_adoption = 0usize;
 
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
+        for (phase, &u) in self.core.order.iter().enumerate() {
+            let kids = children.neighbors_of(u as usize);
             if kids.is_empty() || !informed.contains(u) {
                 continue;
             }
@@ -711,7 +423,7 @@ impl FastSimple {
 
         FastSimpleOutcome {
             n,
-            m: self.m,
+            m: self.core.m,
             almost_round,
             last_adoption,
             correct,
@@ -737,25 +449,20 @@ impl FastSimple {
             }
         }
         let tapes = FaultTapes::new(block_seed);
-        let n = self.n;
+        let children = self.children();
+        let n = self.core.n;
         let mut informed_masks: Vec<LaneMask> = vec![0; n];
         let mut value_masks: Vec<LaneMask> = vec![0; n];
-        informed_masks[self.source as usize] = !0;
-        value_masks[self.source as usize] = !0;
+        informed_masks[self.core.source as usize] = !0;
+        value_masks[self.core.source as usize] = !0;
         let mut counts = LaneCounter::new();
         counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
+        let mut almost = AlmostCrossing::new(n);
+        let mut last = LastPhase::new();
         let mut k = LaneCounter::new();
 
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
+        for (phase, &u) in self.core.order.iter().enumerate() {
+            let kids = children.neighbors_of(u as usize);
             if kids.is_empty() {
                 continue;
             }
@@ -773,256 +480,27 @@ impl FastSimple {
                 value_masks[c as usize] = val_eff;
             }
             counts.add_masked(val_eff, kids.len() as u64);
-            if almost_done != !0 {
-                let crossed = counts.ge_mask(almost_target) & !almost_done;
-                if crossed != 0 {
-                    let mut bits = crossed;
-                    while bits != 0 {
-                        almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                        bits &= bits - 1;
-                    }
-                    almost_done |= crossed;
-                }
-            }
+            last.record(val_eff, phase);
+            almost.record(&counts, phase);
         }
 
-        self.finish_batch_model(
-            model,
-            &tapes,
-            value_masks,
-            counts,
-            almost_done,
-            &almost_phase,
-            almost_round,
-        )
-    }
-
-    /// Scalar model-lane replay executed shard-at-a-time — the same
-    /// maximal same-shard run walk as
-    /// [`run_lane_sharded`](Self::run_lane_sharded), and bit-identical
-    /// to [`run_lane_model`](Self::run_lane_model) for every plan (the
-    /// corruption coins key on the node's *global* phase position, so
-    /// the access path cannot move them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or the plan covers a different node count.
-    #[must_use]
-    pub fn run_lane_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastSimpleOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_lane_sharded(plan, p, block_seed, lane);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let bit: LaneMask = 1u64 << lane;
-        let mut k = LaneCounter::new();
-        let n = self.n;
-        let mut informed = InformedSet::new(n);
-        let mut correct = InformedSet::new(n);
-        informed.insert(self.source);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if kids.is_empty() || !informed.contains(u) {
-                    phase += 1;
-                    continue;
-                }
-                let val = if correct.contains(u) { bit } else { 0 };
-                let (inf_eff, val_eff) =
-                    self.resolve_phase_model(model, &tapes, &mut k, u, bit, val);
-                if inf_eff != 0 {
-                    for &c in kids {
-                        informed.insert(c);
-                        if val_eff != 0 {
-                            correct.insert(c);
-                        }
-                    }
-                    if val_eff != 0 {
-                        let round = self.model_round(model, &tapes, phase, lane);
-                        last_adoption = round;
-                        if almost_round.is_none() && correct.count() >= almost_target {
-                            almost_round = Some(round);
-                        }
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
-    }
-
-    /// The 64-lane model batch with its forward pass executed
-    /// shard-at-a-time; bit-identical to
-    /// [`run_batch_model`](Self::run_batch_model) for every plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-    ) -> FastSimpleBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_batch_sharded(plan, p, block_seed);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let n = self.n;
-        let mut informed_masks: Vec<LaneMask> = vec![0; n];
-        let mut value_masks: Vec<LaneMask> = vec![0; n];
-        informed_masks[self.source as usize] = !0;
-        value_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-        let mut k = LaneCounter::new();
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if kids.is_empty() {
-                    phase += 1;
-                    continue;
-                }
-                let act = informed_masks[u as usize];
-                if act == 0 {
-                    phase += 1;
-                    continue;
-                }
-                let val = value_masks[u as usize];
-                let (inf_eff, val_eff) =
-                    self.resolve_phase_model(model, &tapes, &mut k, u, act, val);
-                if inf_eff == 0 {
-                    phase += 1;
-                    continue;
-                }
-                for &c in kids {
-                    informed_masks[c as usize] = inf_eff;
-                    value_masks[c as usize] = val_eff;
-                }
-                counts.add_masked(val_eff, kids.len() as u64);
-                if almost_done != !0 {
-                    let crossed = counts.ge_mask(almost_target) & !almost_done;
-                    if crossed != 0 {
-                        let mut bits = crossed;
-                        while bits != 0 {
-                            almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                            bits &= bits - 1;
-                        }
-                        almost_done |= crossed;
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        self.finish_batch_model(
-            model,
-            &tapes,
-            value_masks,
-            counts,
-            almost_done,
-            &almost_phase,
-            almost_round,
-        )
-    }
-
-    /// Shared tail of the model batches: the backward last-correct-
-    /// adoption scan over the value masks plus the lazy per-lane round
-    /// resolution (both read only per-node values already in memory, so
-    /// they stay monolithic even for the sharded forward pass).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_batch_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        value_masks: Vec<LaneMask>,
-        counts: LaneCounter,
-        almost_done: LaneMask,
-        almost_phase: &[u32; LANES],
-        mut almost_round: Vec<Option<usize>>,
-    ) -> FastSimpleBatch {
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
-        for (phase, &u) in self.order.iter().enumerate().rev() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let hit = value_masks[kids[0] as usize] & !adopted;
-            if hit != 0 {
-                let mut bits = hit;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= hit;
-                if adopted == !0 {
-                    break;
-                }
-            }
-        }
-
+        let (adopted, last_phase) = last.finish();
         let mut last_adoption = vec![0usize; LANES];
+        let mut almost_round = almost.rounds;
         for lane in 0..LANES as u32 {
             let li = lane as usize;
             if adopted >> lane & 1 == 1 {
-                last_adoption[li] = self.model_round(model, tapes, last_phase[li] as usize, lane);
+                last_adoption[li] = self.model_round(model, &tapes, last_phase[li] as usize, lane);
             }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
+            if almost.done >> lane & 1 == 1 && almost_round[li].is_none() {
                 almost_round[li] =
-                    Some(self.model_round(model, tapes, almost_phase[li] as usize, lane));
+                    Some(self.model_round(model, &tapes, almost.phase[li] as usize, lane));
             }
         }
 
         FastSimpleBatch {
-            n: self.n,
-            m: self.m,
+            n,
+            m: self.core.m,
             correct: BatchedInformedSet::from_parts(value_masks, counts),
             almost_round,
             last_adoption,
@@ -1030,20 +508,108 @@ impl FastSimple {
     }
 }
 
-/// Out-of-core Simple broadcasting: the [`FastSimple::run_lane`]
-/// algorithm executed against a [`ShardStore`] holding the BFS tree's
-/// **child lists** as directed segments (built by
-/// `randcast_graph::shard::ShardedBfsTree` without ever materializing
-/// the monolithic tree), walking the (level, id)-sorted phase order in
-/// maximal same-shard runs — the walk is already segment-ordered, so
-/// sharding is a pure access-path change and outcomes are
-/// **bit-identical** to [`FastSimple::run_lane`] on the same tree.
-/// Vote state (the correct set, the almost-complete crossing, the last
+/// Each lane's first phase whose adoptions lift its correct count to the
+/// almost-complete (`≥ n − 1`) mark, tracked across a forward phase walk.
+struct AlmostCrossing {
+    target: u64,
+    done: LaneMask,
+    phase: [u32; LANES],
+    /// Pre-filled with `Some(0)` when the source alone is almost
+    /// complete; otherwise resolved from `phase` after the walk.
+    rounds: Vec<Option<usize>>,
+}
+
+impl AlmostCrossing {
+    fn new(n: usize) -> Self {
+        let target = n.saturating_sub(1).max(1) as u64;
+        let already = 1 >= target;
+        AlmostCrossing {
+            target,
+            done: if already { !0 } else { 0 },
+            phase: [0; LANES],
+            rounds: vec![already.then_some(0); LANES],
+        }
+    }
+
+    fn record(&mut self, counts: &LaneCounter, phase: usize) {
+        if self.done == !0 {
+            return;
+        }
+        let crossed = counts.ge_mask(self.target) & !self.done;
+        let mut bits = crossed;
+        while bits != 0 {
+            self.phase[bits.trailing_zeros() as usize] = phase as u32;
+            bits &= bits - 1;
+        }
+        self.done |= crossed;
+    }
+}
+
+/// Each lane's last effective phase, recorded during a forward phase
+/// walk — what a backward scan over the phase order would find, without
+/// a second pass (which out of core would re-read every segment).
+/// Lanes still in the current run of effective phases are flushed only
+/// when they drop out of it, so a walk whose effective masks rarely
+/// change costs `O(1)` per phase instead of one write per lane.
+struct LastPhase {
+    last: [u32; LANES],
+    adopted: LaneMask,
+    run: LaneMask,
+    run_phase: u32,
+}
+
+impl LastPhase {
+    fn new() -> Self {
+        LastPhase {
+            last: [0; LANES],
+            adopted: 0,
+            run: 0,
+            run_phase: 0,
+        }
+    }
+
+    fn record(&mut self, eff: LaneMask, phase: usize) {
+        if eff == 0 {
+            return;
+        }
+        self.flush(self.run & !eff);
+        self.run = eff;
+        self.run_phase = phase as u32;
+        self.adopted |= eff;
+    }
+
+    fn flush(&mut self, lanes: LaneMask) {
+        let mut bits = lanes;
+        while bits != 0 {
+            self.last[bits.trailing_zeros() as usize] = self.run_phase;
+            bits &= bits - 1;
+        }
+    }
+
+    /// The lanes that adopted at all, and each one's last phase.
+    fn finish(mut self) -> (LaneMask, [u32; LANES]) {
+        self.flush(self.run);
+        (self.adopted, self.last)
+    }
+}
+
+/// Simple broadcasting over a [`ShardStore`] holding the BFS tree's
+/// **child lists** — the one phase walk behind both [`FastSimple`]'s
+/// omission lane and batch (a RAM store) and out-of-core runs (directed
+/// disk segments built by `randcast_graph::shard::ShardedBfsTree`
+/// without ever materializing the monolithic tree). The walk follows
+/// the (level, id)-sorted phase order in maximal same-shard runs; it is
+/// already segment-ordered, so sharding is a pure access-path change
+/// and outcomes are **bit-identical** for every plan and store. Vote
+/// state (the correct set, the almost-complete crossing, the last
 /// adoption round) is node-level and stays resident; only one shard's
 /// child rows are in memory at a time.
 pub struct ShardedSimple {
     store: ShardStore,
     order: Vec<u32>,
+    /// The shard of each maximal same-shard run of `order`, and the
+    /// phase index where the run ends.
+    runs: Vec<(usize, usize)>,
     source: u32,
     n: usize,
     m: usize,
@@ -1067,9 +633,22 @@ impl ShardedSimple {
         let n = store.node_count();
         assert!((source as usize) < n, "source out of range");
         assert_eq!(order.first(), Some(&source), "order must start at source");
+        let plan = store.plan();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut range = 0..0;
+        for (phase, &u) in order.iter().enumerate() {
+            if !range.contains(&u) {
+                let s = plan.shard_of(u);
+                let (start, end) = plan.range(s);
+                range = start..end;
+                runs.push((s, phase));
+            }
+            runs.last_mut().expect("a run is open").1 = phase + 1;
+        }
         ShardedSimple {
             store,
             order,
+            runs,
             source,
             n,
             m,
@@ -1083,20 +662,6 @@ impl ShardedSimple {
     pub fn with_prefetch(mut self, prefetch: bool) -> Self {
         self.prefetch = prefetch;
         self
-    }
-
-    /// The sequence of shards the (level, id)-sorted phase walk visits,
-    /// one entry per maximal same-shard run — the full pass
-    /// announcement for the prefetch pipeline.
-    fn pass_shards(&self, plan: &ShardPlan) -> Vec<usize> {
-        let mut shards = Vec::new();
-        for &u in &self.order {
-            let s = plan.shard_of(u);
-            if shards.last() != Some(&s) {
-                shards.push(s);
-            }
-        }
-        shards
     }
 
     /// The underlying child-segment store.
@@ -1123,13 +688,31 @@ impl ShardedSimple {
         self.n * self.m
     }
 
-    /// Scalar lane replay over the shard store; bit-identical to
-    /// [`FastSimple::run_lane`] on the same tree. Each maximal
-    /// same-shard run of the phase order acquires one segment view;
-    /// on disk stores the whole run sequence is announced to the
-    /// [`PassLoader`] up front, so the next run's segment read overlaps
+    /// The phase walk: one segment view per maximal same-shard run of
+    /// the phase order, visiting every phase in order with its child
+    /// list. The whole run sequence is announced to the [`PassLoader`]
+    /// up front, so on disk stores the next run's segment read overlaps
     /// the current run's compute. The walk touches every row of every
     /// visited segment, so there is no sparse path here.
+    #[inline]
+    fn walk(&self, mut visit: impl FnMut(usize, u32, &[u32])) -> Result<(), ShardError> {
+        let mut loader = PassLoader::new(&self.store, self.prefetch);
+        let shards: Vec<usize> = self.runs.iter().map(|&(s, _)| s).collect();
+        loader.begin_pass(&shards);
+        let mut phase = 0usize;
+        for &(s, end) in &self.runs {
+            let view = loader.view_full(s)?;
+            for (i, &u) in self.order[phase..end].iter().enumerate() {
+                visit(phase + i, u, view.targets_of(u));
+            }
+            phase = end;
+        }
+        Ok(())
+    }
+
+    /// Scalar replay of lane `lane` of batched block `block_seed` —
+    /// the lane semantics of [`FastSimple::run_lane`], which runs this
+    /// walk over a RAM store.
     ///
     /// # Errors
     ///
@@ -1150,64 +733,52 @@ impl ShardedSimple {
         let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
         let tape = BatchTape::new(block_seed, FAULT_STREAM);
         let ln_p = p.ln();
-        let n = self.n;
-        let plan = self.store.plan().clone();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        loader.begin_pass(&self.pass_shards(&plan));
+        let (n, m) = (self.n, self.m);
         let mut correct = InformedSet::new(n);
         correct.insert(self.source);
         let almost_target = n.saturating_sub(1).max(1);
         let mut almost_round = (correct.count() >= almost_target).then_some(0);
         let mut last_adoption = 0usize;
 
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let view = loader.view_full(s)?;
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if !kids.is_empty() && correct.contains(u) && adopt.lane(&tape, phase as u64, lane)
-                {
-                    let t = phase_t(&tape, phase as u64, lane, ln_p, self.m);
-                    let round = phase * self.m + t + 1;
-                    for &c in kids {
-                        correct.insert(c);
-                    }
-                    last_adoption = round;
-                    if almost_round.is_none() && correct.count() >= almost_target {
-                        almost_round = Some(round);
-                    }
-                }
-                phase += 1;
+        self.walk(|phase, u, kids| {
+            // Coins are pure functions of (site, lane): no draw-count
+            // discipline needed, skipping a dead subtree reads nothing.
+            if kids.is_empty() || !correct.contains(u) || !adopt.lane(&tape, phase as u64, lane) {
+                return;
             }
-        }
+            let round = phase * m + phase_t(&tape, phase as u64, lane, ln_p, m) + 1;
+            for &c in kids {
+                correct.insert(c);
+            }
+            last_adoption = round;
+            if almost_round.is_none() && correct.count() >= almost_target {
+                almost_round = Some(round);
+            }
+        })?;
 
         Ok(FastSimpleOutcome {
             n,
-            m: self.m,
+            m,
             almost_round,
             last_adoption,
             correct,
         })
     }
 
-    /// One batched 64-lane block over the shard store — the lane
-    /// semantics of [`FastSimple::run_batch`], with every segment read
-    /// amortized across all 64 trials. Per-lane outcomes are
-    /// byte-identical to 64 scalar [`run_lane`](Self::run_lane) replays
-    /// of the same block seed.
+    /// One batched 64-lane block — the lane semantics of
+    /// [`FastSimple::run_batch`], with every segment read amortized
+    /// across all 64 trials. Per-lane outcomes are byte-identical to 64
+    /// scalar [`run_lane`](Self::run_lane) replays of the same block
+    /// seed.
     ///
-    /// The monolithic batch finds each lane's last adoption with a
-    /// *backward* scan over the phase order; out of core that would
-    /// re-read every segment in reverse. This walk instead overwrites
-    /// `last_phase[lane] = phase` at every effective phase during the
-    /// forward pass — the backward scan returns the *maximum* phase
-    /// whose `eff` mask has the lane set (children are written exactly
-    /// once, by their own parent's phase, so the child mask it reads
-    /// *is* that phase's `eff`), and a forward overwrite computes the
-    /// same maximum.
+    /// Each lane's last adoption is its last effective phase, found
+    /// during the forward walk (children are written exactly once, by
+    /// their own parent's phase, so that phase's adoption mask *is* the
+    /// children's final mask). Round *numbers* (the almost-complete
+    /// crossing and the last adoption) need the within-phase
+    /// transmission index `t`, which only matters for at most two
+    /// phases per lane; those lanes' 53-bit uniforms are extracted
+    /// lazily after the walk instead of being resolved for every node.
     ///
     /// # Errors
     ///
@@ -1222,89 +793,52 @@ impl ShardedSimple {
         let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
         let tape = BatchTape::new(block_seed, FAULT_STREAM);
         let ln_p = p.ln();
-        let n = self.n;
-        let plan = self.store.plan().clone();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        loader.begin_pass(&self.pass_shards(&plan));
+        let (n, m) = (self.n, self.m);
         let mut correct_masks: Vec<LaneMask> = vec![0; n];
         correct_masks[self.source as usize] = !0;
         let mut counts = LaneCounter::new();
         counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
+        let mut almost = AlmostCrossing::new(n);
+        let mut last = LastPhase::new();
 
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let view = loader.view_full(s)?;
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if kids.is_empty() {
-                    phase += 1;
-                    continue;
-                }
-                let eff = adopt.mask(&tape, phase as u64, correct_masks[u as usize]);
-                if eff == 0 {
-                    phase += 1;
-                    continue;
-                }
-                // Tree children have unique parents: each child's mask
-                // is written exactly once, by its own parent's phase.
-                for &c in kids {
-                    correct_masks[c as usize] = eff;
-                }
-                counts.add_masked(eff, kids.len() as u64);
-                let mut bits = eff;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= eff;
-                if almost_done != !0 {
-                    let crossed = counts.ge_mask(almost_target) & !almost_done;
-                    if crossed != 0 {
-                        let mut bits = crossed;
-                        while bits != 0 {
-                            almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                            bits &= bits - 1;
-                        }
-                        almost_done |= crossed;
-                    }
-                }
-                phase += 1;
+        self.walk(|phase, u, kids| {
+            if kids.is_empty() {
+                return;
             }
-        }
+            let eff = adopt.mask(&tape, phase as u64, correct_masks[u as usize]);
+            if eff == 0 {
+                return;
+            }
+            // Tree children have unique parents: each child's mask is
+            // written exactly once, by its own parent's phase.
+            for &c in kids {
+                correct_masks[c as usize] = eff;
+            }
+            counts.add_masked(eff, kids.len() as u64);
+            last.record(eff, phase);
+            almost.record(&counts, phase);
+        })?;
 
-        // Lazy `t` extraction for the at most two stat-relevant phases
-        // per lane.
+        let (adopted, last_phase) = last.finish();
         let mut last_adoption = vec![0usize; LANES];
+        let mut almost_round = almost.rounds;
+        let round_of = |ph: u32, lane: u32| {
+            let ph = ph as usize;
+            ph * m + phase_t(&tape, ph as u64, lane, ln_p, m) + 1
+        };
         for lane in 0..LANES as u32 {
             let li = lane as usize;
             if adopted >> lane & 1 == 1 {
-                let ph = last_phase[li] as usize;
-                last_adoption[li] = ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1;
+                last_adoption[li] = round_of(last_phase[li], lane);
             }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
-                let ph = almost_phase[li] as usize;
-                almost_round[li] =
-                    Some(ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1);
+            if almost.done >> lane & 1 == 1 && almost_round[li].is_none() {
+                almost_round[li] = Some(round_of(almost.phase[li], lane));
             }
         }
 
         Ok(FastSimpleBatch {
             n,
-            m: self.m,
+            m,
             correct: BatchedInformedSet::from_parts(correct_masks, counts),
             almost_round,
             last_adoption,
@@ -1735,18 +1269,18 @@ mod tests {
         let csr = CsrGraph::from(&g);
         for m in [1usize, 3] {
             let fs = FastSimple::new(&csr, g.node(0), m);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded = FastSimple::new(&csr, g.node(0), m).with_shards(shards);
                 for p in [0.0, 0.4, 0.9] {
                     let seed = 17 + shards as u64;
                     assert_eq!(
-                        fs.run_batch_sharded(&plan, p, seed),
+                        sharded.run_batch(p, seed),
                         fs.run_batch(p, seed),
                         "batch diverged: m={m} shards={shards} p={p}"
                     );
                     for lane in [0u32, 19, 63] {
                         assert_eq!(
-                            fs.run_lane_sharded(&plan, p, seed, lane),
+                            sharded.run_lane(p, seed, lane),
                             fs.run_lane(p, seed, lane),
                             "lane diverged: m={m} shards={shards} p={p} lane={lane}"
                         );
@@ -1969,19 +1503,19 @@ mod tests {
         let flip = FlipFault::new(0.4);
         let lie = LieOrJamFault::new(0.2);
         let models: [&dyn FaultModel; 2] = [&flip, &lie];
-        for shards in [1usize, 2, 3, 7] {
-            let plan = ShardPlan::uniform(csr.node_count(), shards);
+        for shards in [2usize, 3, 7] {
+            let sharded = FastSimple::new(&csr, g.node(0), 3).with_shards(shards);
             for model in models {
                 let seed = 17 + shards as u64;
                 assert_eq!(
-                    fs.run_batch_sharded_model(&plan, model, seed),
+                    sharded.run_batch_model(model, seed),
                     fs.run_batch_model(model, seed),
                     "batch diverged: {} shards={shards}",
                     model.name()
                 );
                 for lane in [0u32, 19, 63] {
                     assert_eq!(
-                        fs.run_lane_sharded_model(&plan, model, seed, lane),
+                        sharded.run_lane_model(model, seed, lane),
                         fs.run_lane_model(model, seed, lane),
                         "lane diverged: {} shards={shards} lane={lane}",
                         model.name()

@@ -8,10 +8,9 @@
 //!   (offsets kept absolute, `base = offsets[start]`) and rebased
 //!   segments streamed back from disk (`base = 0`), so the engine
 //!   frontier passes are written once against it.
-//! * [`ShardedCsr`] — an owned in-RAM split of a [`CsrGraph`]: each
-//!   shard owns its rebased offsets/targets slice plus the cut-edge
-//!   lists into every other shard (edges whose source is in the shard
-//!   and whose target is not, bucketed by destination shard).
+//! * [`ShardedCsr`] — one owned [`CsrGraph`] seen through a plan: each
+//!   shard is a zero-copy [`ShardView`] of its node range, so the in-RAM
+//!   store costs no memory beyond the graph.
 //! * [`SpillSink`] / [`DiskShards`] — the out-of-core path. Generators
 //!   stream `(u64, u64)` edge runs into per-shard spill files under a
 //!   scratch directory (each undirected edge written once per endpoint
@@ -36,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
-use crate::csr::{CsrError, CsrGraph, CsrWidth};
+use crate::csr::{CsrError, CsrGraph};
 
 /// A failure while building or reading sharded adjacency: either the
 /// edge stream was invalid (typed [`CsrError`]) or the spill/segment IO
@@ -170,10 +169,7 @@ impl ShardPlan {
     #[must_use]
     pub fn uniform(n: usize, shards: usize) -> Self {
         assert!(n > 0, "graph must have at least one node");
-        assert!(
-            n as u64 <= <u32 as CsrWidth>::MAX_INDEX,
-            "node count exceeds u32"
-        );
+        assert!(n as u64 <= CsrGraph::MAX_INDEX, "node count exceeds u32");
         let k = shards.clamp(1, n);
         let mut bounds = Vec::with_capacity(k + 1);
         for s in 0..=k {
@@ -201,12 +197,14 @@ impl ShardPlan {
     }
 
     /// Number of shards.
+    #[inline]
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.bounds.len() - 1
     }
 
     /// Number of nodes `n` covered by the plan.
+    #[inline]
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.bounds[self.bounds.len() - 1] as usize
@@ -217,6 +215,7 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if `s >= shard_count()`.
+    #[inline]
     #[must_use]
     pub fn range(&self, s: usize) -> (u32, u32) {
         (self.bounds[s], self.bounds[s + 1])
@@ -227,10 +226,14 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if `v >= n`.
+    #[inline]
     #[must_use]
     pub fn shard_of(&self, v: u32) -> usize {
         assert!((v as usize) < self.node_count(), "node out of range");
-        self.bounds.partition_point(|&b| b <= v) - 1
+        match self.bounds.len() {
+            2 => 0,
+            _ => self.bounds.partition_point(|&b| b <= v) - 1,
+        }
     }
 
     /// The shard boundaries (`shard_count() + 1` entries, first `0`,
@@ -332,6 +335,7 @@ impl<'a> ShardView<'a> {
     }
 
     /// Whether node `v` belongs to this shard.
+    #[inline]
     #[must_use]
     pub fn contains(&self, v: u32) -> bool {
         self.start <= v && v < self.end
@@ -343,6 +347,7 @@ impl<'a> ShardView<'a> {
     /// # Panics
     ///
     /// Panics if `v` is outside the shard.
+    #[inline]
     #[must_use]
     pub fn targets_of(&self, v: u32) -> &'a [u32] {
         let local = (v - self.start) as usize;
@@ -368,99 +373,56 @@ impl<'a> ShardView<'a> {
     }
 }
 
-/// One owned shard of a [`ShardedCsr`]: rebased CSR rows plus the
-/// cut-edge lists into every other shard.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct Segment {
-    /// Rebased row boundaries (`rows + 1` entries, first `0`).
-    offsets: Vec<u32>,
-    /// Concatenated sorted neighbor lists (global ids).
-    targets: Vec<u32>,
-    /// `shard_count + 1` boundaries into `cut_edges`, bucketing by
-    /// destination shard (own-shard bucket is empty).
-    cut_offsets: Vec<usize>,
-    /// `(source, target)` pairs with the source in this shard and the
-    /// target elsewhere, grouped by the target's shard.
-    cut_edges: Vec<(u32, u32)>,
-}
-
-/// An owned in-RAM node-range split of a [`CsrGraph`]: each shard owns
-/// its rebased offsets/targets slice plus the cut-edge lists into the
-/// other shards. Views are handed out as [`ShardView`]s, identical in
-/// shape to what the out-of-core path streams from disk.
+/// An in-RAM node-range view over one owned [`CsrGraph`]: shard `s` is
+/// the zero-copy [`ShardView::over`] window of the plan's `s`-th node
+/// range, so any plan costs nothing beyond the graph itself. Views have
+/// the same shape as what the out-of-core path streams from disk, which
+/// is what lets one round loop per kernel serve both stores.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ShardedCsr {
     plan: ShardPlan,
-    segments: Vec<Segment>,
-    edge_count: usize,
+    csr: CsrGraph,
 }
 
 impl ShardedCsr {
-    /// Splits a monolithic CSR graph along `plan`.
+    /// Views an owned CSR graph along `plan`, without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan covers a different node count.
+    #[must_use]
+    pub fn new(csr: CsrGraph, plan: ShardPlan) -> Self {
+        assert_eq!(plan.node_count(), csr.node_count(), "plan/graph mismatch");
+        ShardedCsr { plan, csr }
+    }
+
+    /// [`new`](Self::new) over a copy of `csr` — one copy of the graph,
+    /// shared by every shard.
     ///
     /// # Panics
     ///
     /// Panics if the plan covers a different node count.
     #[must_use]
     pub fn split(csr: &CsrGraph, plan: ShardPlan) -> Self {
-        assert_eq!(plan.node_count(), csr.node_count(), "plan/graph mismatch");
-        let k = plan.shard_count();
-        let mut segments = Vec::with_capacity(k);
-        for s in 0..k {
-            let (start, end) = plan.range(s);
-            let base = csr.offsets()[start as usize];
-            let offsets: Vec<u32> = csr.offsets()[start as usize..=end as usize]
-                .iter()
-                .map(|&o| o - base)
-                .collect();
-            let targets: Vec<u32> =
-                csr.targets()[base as usize..csr.offsets()[end as usize] as usize].to_vec();
-            // Bucket the out-going cut edges by destination shard.
-            let mut counts = vec![0usize; k];
-            for v in start..end {
-                for &t in csr.neighbors_of(v as usize) {
-                    let d = plan.shard_of(t);
-                    if d != s {
-                        counts[d] += 1;
-                    }
-                }
-            }
-            let mut cut_offsets = Vec::with_capacity(k + 1);
-            let mut acc = 0usize;
-            cut_offsets.push(0);
-            for &c in &counts {
-                acc += c;
-                cut_offsets.push(acc);
-            }
-            let mut cut_edges = vec![(0u32, 0u32); acc];
-            let mut cursor = cut_offsets.clone();
-            for v in start..end {
-                for &t in csr.neighbors_of(v as usize) {
-                    let d = plan.shard_of(t);
-                    if d != s {
-                        cut_edges[cursor[d]] = (v, t);
-                        cursor[d] += 1;
-                    }
-                }
-            }
-            segments.push(Segment {
-                offsets,
-                targets,
-                cut_offsets,
-                cut_edges,
-            });
-        }
-        ShardedCsr {
-            plan,
-            segments,
-            edge_count: csr.edge_count(),
-        }
+        Self::new(csr.clone(), plan)
     }
 
-    /// The shard plan this split follows.
+    /// The shard plan this view follows.
     #[must_use]
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
+    }
+
+    /// The viewed graph.
+    #[must_use]
+    pub fn csr(&self) -> &CsrGraph {
+        &self.csr
+    }
+
+    /// Unwraps the viewed graph, e.g. to view it along another plan.
+    #[must_use]
+    pub fn into_csr(self) -> CsrGraph {
+        self.csr
     }
 
     /// Number of nodes across all shards.
@@ -472,7 +434,7 @@ impl ShardedCsr {
     /// Number of undirected edges across all shards.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.csr.edge_count()
     }
 
     /// A borrowed view of shard `s`.
@@ -483,27 +445,7 @@ impl ShardedCsr {
     #[must_use]
     pub fn view(&self, s: usize) -> ShardView<'_> {
         let (start, end) = self.plan.range(s);
-        let seg = &self.segments[s];
-        ShardView::from_parts(start, end, &seg.offsets, 0, &seg.targets)
-    }
-
-    /// The cut edges leaving shard `s` for shard `dest`: `(source,
-    /// target)` pairs, source in `s`, target in `dest`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[must_use]
-    pub fn cut_edges(&self, s: usize, dest: usize) -> &[(u32, u32)] {
-        let seg = &self.segments[s];
-        &seg.cut_edges[seg.cut_offsets[dest]..seg.cut_offsets[dest + 1]]
-    }
-
-    /// Total cut edges leaving shard `s` (both directions of an
-    /// undirected cross-shard edge count once from each side).
-    #[must_use]
-    pub fn cut_degree(&self, s: usize) -> usize {
-        self.segments[s].cut_edges.len()
+        ShardView::over(self.csr.offsets(), self.csr.targets(), start, end)
     }
 }
 
@@ -690,10 +632,10 @@ impl SpillSink {
     pub fn push(&mut self, u: u64, v: u64) -> Result<(), ShardError> {
         let n = self.plan.node_count() as u64;
         for e in [u, v] {
-            if e > <u32 as CsrWidth>::MAX_INDEX {
+            if e > CsrGraph::MAX_INDEX {
                 return Err(CsrError::EndpointOverflow {
                     endpoint: e,
-                    max: <u32 as CsrWidth>::MAX_INDEX,
+                    max: CsrGraph::MAX_INDEX,
                 }
                 .into());
             }
@@ -757,9 +699,9 @@ impl SpillSink {
             let (start, end) = plan.range(s);
             let rows = (end - start) as usize;
             let spill = dir.join(format!("spill_{s}.bin"));
-            if shard_half_edges > <u32 as CsrWidth>::MAX_INDEX {
+            if shard_half_edges > CsrGraph::MAX_INDEX {
                 return Err(CsrError::AdjacencyOverflow {
-                    max: <u32 as CsrWidth>::MAX_INDEX,
+                    max: CsrGraph::MAX_INDEX,
                 }
                 .into());
             }
@@ -1083,11 +1025,12 @@ impl Drop for DiskShards {
     }
 }
 
-/// Where sharded adjacency lives: split in RAM or streamed from disk.
-/// One accessor serves both, so the out-of-core flood runner is written
+/// Where sharded adjacency lives: viewed in RAM or streamed from disk.
+/// One accessor serves both, so each kernel's round loop is written
 /// once.
 pub enum ShardStore {
-    /// All segments resident (mid-scale and equivalence testing).
+    /// One resident CSR, viewed shard by shard without copies (every
+    /// in-RAM fast kernel, and equivalence testing).
     Ram(ShardedCsr),
     /// Segments streamed one at a time (the 10⁸ tier).
     Disk(DiskShards),
@@ -1107,6 +1050,15 @@ impl ShardStore {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.plan().node_count()
+    }
+
+    /// The whole resident graph of a RAM store (`None` on disk).
+    #[must_use]
+    pub fn ram_csr(&self) -> Option<&CsrGraph> {
+        match self {
+            ShardStore::Ram(ram) => Some(ram.csr()),
+            ShardStore::Disk(_) => None,
+        }
     }
 
     /// A view of shard `s`, loading through `scratch` when the store is
@@ -1554,6 +1506,8 @@ pub struct PassLoader<'s> {
     store: &'s ShardStore,
     prefetch: PrefetchingStore<'s>,
     sparse: SparseLoader<'s>,
+    /// The sorted row request of the current sparse pass view.
+    sorted: Vec<u32>,
 }
 
 impl<'s> PassLoader<'s> {
@@ -1565,6 +1519,7 @@ impl<'s> PassLoader<'s> {
             store,
             prefetch: PrefetchingStore::new(store, prefetch),
             sparse: SparseLoader::new(store),
+            sorted: Vec::new(),
         }
     }
 
@@ -1594,6 +1549,18 @@ impl<'s> PassLoader<'s> {
         self.prefetch.begin_pass(full);
     }
 
+    /// Announces a pass that will touch `rows(s)` rows of each shard `s`
+    /// through [`view_pass`](Self::view_pass), in ascending shard
+    /// order: the shards it will read in full go to the prefetcher.
+    pub fn begin_rows_pass(&mut self, rows: impl Fn(usize) -> usize) {
+        if self.prefetch.is_pipelined() {
+            let full: Vec<usize> = (0..self.plan().shard_count())
+                .filter(|&s| rows(s) > 0 && !self.use_sparse(s, rows(s)))
+                .collect();
+            self.prefetch.begin_pass(&full);
+        }
+    }
+
     /// A full view of shard `s` through the prefetch pipeline.
     ///
     /// # Errors
@@ -1616,22 +1583,21 @@ impl<'s> PassLoader<'s> {
         self.sparse.load_rows(s, rows)
     }
 
-    /// One pass view of shard `s`: the sparse row view over
-    /// `rows_sorted` when `sparse` holds, the full prefetched segment
-    /// otherwise. `rows_sorted` is ignored on the full path, so callers
-    /// only pay for sorting when the shard actually goes sparse.
+    /// One pass view of shard `s` serving the rows `rows` (any order):
+    /// a sparse view of exactly those rows when the pass touches a small
+    /// fraction of a disk shard ([`use_sparse`](Self::use_sparse)), the
+    /// full prefetched segment otherwise. Rows are only sorted when the
+    /// shard actually goes sparse.
     ///
     /// # Errors
     ///
     /// Exactly [`ShardStore::view`]'s errors.
-    pub fn view_pass<'a>(
-        &'a mut self,
-        s: usize,
-        rows_sorted: &'a [u32],
-        sparse: bool,
-    ) -> Result<PassView<'a>, ShardError> {
-        if sparse {
-            Ok(PassView::Rows(self.sparse.load_rows(s, rows_sorted)?))
+    pub fn view_pass(&mut self, s: usize, rows: &[u32]) -> Result<PassView<'_>, ShardError> {
+        if self.use_sparse(s, rows.len()) {
+            self.sorted.clear();
+            self.sorted.extend_from_slice(rows);
+            self.sorted.sort_unstable();
+            Ok(PassView::Rows(self.sparse.load_rows(s, &self.sorted)?))
         } else {
             Ok(PassView::Full(self.prefetch.view(s)?))
         }
@@ -1656,6 +1622,7 @@ impl PassView<'_> {
     ///
     /// Panics if `v` is outside the view (or, for a sparse view, was
     /// not in the requested row set).
+    #[inline]
     #[must_use]
     pub fn targets_of(&self, v: u32) -> &[u32] {
         match self {
@@ -1887,36 +1854,38 @@ mod tests {
     }
 
     #[test]
-    fn cut_edges_are_exactly_the_cross_shard_adjacency() {
-        let n = 60u32;
-        let csr = CsrGraph::from_edges(n as usize, &ring_edges(n));
-        let plan = ShardPlan::uniform(n as usize, 4);
-        let sharded = ShardedCsr::split(&csr, plan.clone());
-        let mut listed = 0usize;
-        for s in 0..4 {
-            for d in 0..4 {
-                for &(u, v) in sharded.cut_edges(s, d) {
-                    assert_eq!(plan.shard_of(u), s);
-                    assert_eq!(plan.shard_of(v), d);
-                    assert_ne!(s, d, "own-shard cut bucket must be empty");
-                    assert!(csr.neighbors_of(u as usize).contains(&v));
-                    listed += 1;
+    fn ram_store_views_are_zero_copy_windows_of_the_source_csr() {
+        // Nodes 0..4 form a path, 5 and 6 are isolated, 7..12 a ring:
+        // empty rows at shard bounds and inside shards.
+        let mut edges = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
+        edges.extend((7u32..12).map(|v| (v, v + 1)));
+        edges.push((12, 7));
+        let n = 13;
+        let csr = CsrGraph::from_edges(n, &edges);
+        for k in [1, 2, 3, 7] {
+            let plan = ShardPlan::uniform(n, k);
+            let store = ShardStore::Ram(ShardedCsr::new(csr.clone(), plan.clone()));
+            let ShardStore::Ram(ram) = &store else {
+                unreachable!()
+            };
+            let targets = ram.csr().targets().as_ptr_range();
+            let mut scratch = ShardScratch::new();
+            for s in 0..plan.shard_count() {
+                let view = store
+                    .view(s, &mut scratch)
+                    .expect("RAM views are infallible");
+                let (start, end) = plan.range(s);
+                assert_eq!((view.start(), view.end()), (start, end));
+                for v in start..end {
+                    let row = view.targets_of(v);
+                    assert_eq!(row, csr.neighbors_of(v as usize), "k={k} row {v}");
+                    // The row is a window of the store's own CSR, not a
+                    // per-shard copy.
+                    assert_eq!(row.as_ptr(), ram.csr().neighbors_of(v as usize).as_ptr());
+                    assert!(targets.contains(&row.as_ptr()) || row.is_empty());
                 }
             }
-            assert_eq!(
-                sharded.cut_degree(s),
-                (0..4).map(|d| sharded.cut_edges(s, d).len()).sum::<usize>()
-            );
         }
-        let expect: usize = (0..n)
-            .map(|v| {
-                csr.neighbors_of(v as usize)
-                    .iter()
-                    .filter(|&&t| plan.shard_of(t) != plan.shard_of(v))
-                    .count()
-            })
-            .sum();
-        assert_eq!(listed, expect);
     }
 
     #[test]
@@ -2160,7 +2129,7 @@ mod tests {
         sink.push(0, 1).expect("push");
         // Fake an overflowing bucket count: writing 2^32 real edges in
         // a unit test is not an option.
-        sink.half_edges[0] = <u32 as CsrWidth>::MAX_INDEX + 1;
+        sink.half_edges[0] = CsrGraph::MAX_INDEX + 1;
         match sink.finalize().map(|_| ()) {
             Err(ShardError::Graph(CsrError::AdjacencyOverflow { .. })) => {}
             other => panic!("expected AdjacencyOverflow, got {other:?}"),
