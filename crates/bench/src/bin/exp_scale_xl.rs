@@ -6,12 +6,13 @@
 //!
 //! 1. **Sweep** (JSON-reported): Flood / Radio(Decay) / Simple fast
 //!    paths on one `G(n, 8/n)` family through the standard sweep
-//!    driver. At full scale the grid tops out at `n = 10⁷`, where the
-//!    harness's auto-sharding (`ShardSpec::Auto`, ≥ ~8M nodes) engages
-//!    on its own; `--shards K` forces a count at any size — sharding
-//!    is outcome-neutral, so the JSON is byte-identical either way
-//!    (CI's shards-1-vs-4 determinism gate diffs exactly this
-//!    report).
+//!    driver. At full scale the grid tops out at `n = 10⁷`, where
+//!    `ShardSpec::Auto` (≥ ~8M nodes) sizes a plan to its 1 GiB
+//!    per-shard budget — one shard for this graph, so the default run
+//!    makes one-shard passes; `--shards K` forces a count at any size.
+//!    Sharding is outcome-neutral, so the JSON is byte-identical
+//!    either way (CI's shards-1-vs-4 determinism gate diffs exactly
+//!    this report).
 //! 2. **Out-of-core trials** (printed + JSON rows): one scalar trial
 //!    plus one 64-lane batched block per kernel — flood, radio under
 //!    the classical Decay schedule, and Simple over a sharded BFS tree
@@ -75,8 +76,9 @@ fn main() {
     );
     let quick = cli.scale > 1;
 
-    // Part 1: the sweep grid. Auto-sharding engages by itself at 10^7;
-    // --shards K forces the matter at any size (outcome-neutral).
+    // Part 1: the sweep grid. ShardSpec::Auto resolves a one-shard
+    // budgeted plan at 10^7; --shards K forces a count at any size
+    // (outcome-neutral).
     let sizes: &[usize] = if quick {
         &[100_000]
     } else {

@@ -318,8 +318,9 @@ fn sharded_flood_trial_at_n_1e6_fits_wall_and_rss_budgets() {
 #[ignore = "10^7-scale release gate: minutes of wall; run via CI's dedicated step or --include-ignored"]
 fn sharded_flood_trial_at_n_1e7_fits_wall_and_rss_budgets() {
     // The 10⁷ acceptance cell (CI runs this in its own release step).
-    // Auto-sharding must engage on its own above SHARD_AUTO_MIN_N, and
-    // the documented budgets are 10 min build + 30 s trial wall with
+    // Above SHARD_AUTO_MIN_N, ShardSpec::Auto resolves a budgeted plan
+    // (`shard_plan()` is `Some`; at this size the plan has one shard),
+    // and the documented budgets are 10 min build + 30 s trial wall with
     // 16 GiB peak RSS — the adjacency-list build dominates both.
     let prep = Scenario {
         graph: GraphFamily::Gnp {

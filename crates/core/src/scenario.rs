@@ -28,7 +28,9 @@ use rand::SeedableRng as _;
 use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::FastFlood;
-use randcast_engine::kernel::{FaultModel, FlipFault, LieOrJamFault, Omission, LANES};
+use randcast_engine::kernel::{
+    FaultModel, FlipFault, FrontierBatch, FrontierOutcome, LieOrJamFault, Omission, LANES,
+};
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
@@ -85,17 +87,20 @@ pub const RADIO_FAST_MIN_N: usize = 4096;
 /// of the lie-or-jam adversary needs per-round adjacency scans.
 pub const SIMPLE_FAST_MIN_N: usize = 4096;
 
-/// Node count at or above which [`ShardSpec::Auto`] starts running
-/// batched fast-path trials shard-at-a-time. Sharded passes are
+/// Node count at or above which [`ShardSpec::Auto`] sizes a shard plan
+/// to [`SHARD_AUTO_BUDGET_BYTES`] (`ShardPlan::for_budget`) instead of
+/// taking one shard. At that budget a `G(n,p)` graph of average degree
+/// 8 still fits one shard up to about `3·10⁷` nodes, so at `n = 10⁷`
+/// the resolved plan has one shard. Sharded passes are
 /// **bit-identical** to one-shard ones (the engines pin this), so the
 /// threshold is a pure performance knob — crossing it never changes an
 /// outcome vector.
 pub const SHARD_AUTO_MIN_N: usize = 8 << 20;
 
 /// Per-shard adjacency budget (bytes) that [`ShardSpec::Auto`] targets
-/// when it engages: shards are sized so one shard's offsets + targets
-/// stay under this, keeping each pass's hot rows together at
-/// `n = 10⁷`–`10⁸`.
+/// from [`SHARD_AUTO_MIN_N`] nodes on: shards are sized so one shard's
+/// offsets + targets stay under this (one shard at `n = 10⁷`, several
+/// at `n = 10⁸`).
 pub const SHARD_AUTO_BUDGET_BYTES: usize = 1 << 30;
 
 /// How a fast-path plan partitions its node range for shard-at-a-time
@@ -1016,23 +1021,16 @@ impl PreparedScenario {
             PlanKind::Flood(plan) => {
                 TrialOutcome::completed(plan.run(g, fault, seed).completion_round())
             }
-            PlanKind::FloodFast(plan) => {
-                // Omission runs the byte-stable silent-fault frontier;
-                // malicious kinds run the flip value pass (deliveries
-                // on the BFS schedule, corrupted values, correct-set
-                // reporting) as lane 0 of block `seed` — the same
-                // semantics the general flood's flip adversary has.
-                let out = if malicious {
-                    plan.run_lane_model(self.fast_fault_model().as_ref(), seed, 0)
-                } else {
-                    plan.run(fault.p.get(), seed)
-                };
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
-            }
+            // Omission runs the byte-stable sequential-RNG frontier;
+            // malicious kinds run the value rule (deliveries on the
+            // fault-free schedule, corrupted values, correct-set
+            // reporting) as lane 0 of block `seed` — the semantics of
+            // the general engines' flip adversaries.
+            PlanKind::FloodFast(plan) => frontier_trial(&if malicious {
+                plan.run_lane_model(self.fast_fault_model().as_ref(), seed, 0)
+            } else {
+                plan.run(fault.p.get(), seed)
+            }),
             PlanKind::Kucera(kb) => {
                 let behavior = if malicious {
                     FailureBehavior::Flip
@@ -1061,28 +1059,19 @@ impl PreparedScenario {
             PlanKind::Decay(cfg) => TrialOutcome::completed(
                 run_decay(g, g.node(0), *cfg, fault, seed).completion_round(),
             ),
-            PlanKind::DecayFast(plan) => {
-                // Omission keeps the byte-stable collision frontier;
-                // limited-malicious runs the flip value pass (the
-                // fault-free participation schedule with corrupted
-                // values) as lane 0 of block `seed`.
-                let out = if malicious {
-                    plan.run_lane_model(self.fast_fault_model().as_ref(), seed, 0)
-                } else {
-                    plan.run(fault.p.get(), seed)
-                };
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
-            }
+            PlanKind::DecayFast(plan) => frontier_trial(&if malicious {
+                plan.run_lane_model(self.fast_fault_model().as_ref(), seed, 0)
+            } else {
+                plan.run(fault.p.get(), seed)
+            }),
         }
     }
 
     /// The shard plan resolved from the scenario's [`ShardSpec`]:
-    /// `None` when batched trials run one-shard passes. Sharding is
-    /// outcome-neutral, so this is diagnostic only (e.g. for benches
+    /// `None` for plans off the fast path, for `Fixed(1)`, and for
+    /// `Auto` below [`SHARD_AUTO_MIN_N`] nodes. `Some` plan may still
+    /// have one shard — `Auto` at `n = 10⁷` resolves to one. Sharding
+    /// is outcome-neutral, so this is diagnostic only (e.g. for benches
     /// reporting their shard-pass geometry).
     #[must_use]
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
@@ -1129,11 +1118,10 @@ impl PreparedScenario {
     #[must_use]
     pub fn trial_block_threads(&self, block_seed: u64, threads: usize) -> Vec<TrialOutcome> {
         let model = self.fast_fault_model();
-        let lanes = 0..LANES as u32;
         match &self.plan {
             PlanKind::SimpleFast(plan) => {
                 let out = plan.run_batch_model(model.as_ref(), block_seed);
-                lanes
+                (0..LANES as u32)
                     .map(|l| {
                         TrialOutcome::flooded(
                             out.completion_round(l),
@@ -1144,28 +1132,10 @@ impl PreparedScenario {
                     .collect()
             }
             PlanKind::FloodFast(plan) => {
-                let out = plan.run_batch_model(model.as_ref(), block_seed);
-                lanes
-                    .map(|l| {
-                        TrialOutcome::flooded(
-                            out.completion_round(l),
-                            out.informed_fraction(l),
-                            out.almost_complete_round(l),
-                        )
-                    })
-                    .collect()
+                frontier_block(&plan.run_batch_model(model.as_ref(), block_seed))
             }
             PlanKind::DecayFast(plan) => {
-                let out = plan.run_batch_threads(model.as_ref(), block_seed, threads);
-                lanes
-                    .map(|l| {
-                        TrialOutcome::flooded(
-                            out.completion_round(l),
-                            out.informed_fraction(l),
-                            out.almost_complete_round(l),
-                        )
-                    })
-                    .collect()
+                frontier_block(&plan.run_batch_threads(model.as_ref(), block_seed, threads))
             }
             _ => panic!("trial_block requires a batch-capable fast-path plan"),
         }
@@ -1194,24 +1164,36 @@ impl PreparedScenario {
                 )
             }
             PlanKind::FloodFast(plan) => {
-                let out = plan.run_lane_model(model.as_ref(), block_seed, lane);
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
+                frontier_trial(&plan.run_lane_model(model.as_ref(), block_seed, lane))
             }
             PlanKind::DecayFast(plan) => {
-                let out = plan.run_lane_model(model.as_ref(), block_seed, lane);
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
+                frontier_trial(&plan.run_lane_model(model.as_ref(), block_seed, lane))
             }
             _ => panic!("trial_lane requires a batch-capable fast-path plan"),
         }
     }
+}
+
+/// A flood or radio trial's sweep outcome.
+fn frontier_trial(out: &FrontierOutcome) -> TrialOutcome {
+    TrialOutcome::flooded(
+        out.completion_round(),
+        out.informed_fraction(),
+        out.almost_complete_round(),
+    )
+}
+
+/// A flood or radio block's sweep outcomes, in lane order.
+fn frontier_block(out: &FrontierBatch) -> Vec<TrialOutcome> {
+    (0..LANES as u32)
+        .map(|l| {
+            TrialOutcome::flooded(
+                out.completion_round(l),
+                out.informed_fraction(l),
+                out.almost_complete_round(l),
+            )
+        })
+        .collect()
 }
 
 /// Formats a probability compactly (at most 4 decimal places, no

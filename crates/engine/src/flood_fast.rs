@@ -11,14 +11,14 @@
 //! shared [`kernel`](crate::kernel) substrate:
 //!
 //! * the informed set is a word-level
-//!   [`InformedSet`](crate::kernel::InformedSet) bitmask,
+//!   [`InformedSet`] bitmask,
 //! * transmission targets are the flat `u32` CSR arrays of a
 //!   [`CsrGraph`] (the graph's adjacency, or its
 //!   [`bfs_tree`](CsrGraph::bfs_tree) child lists for the paper's
 //!   tree-flooding variant) — the engine builds no adjacency of its
 //!   own,
 //! * fault sampling is the aggregate
-//!   [`FaultSampler`](crate::kernel::FaultSampler): one Bernoulli coin
+//!   [`FaultSampler`]: one Bernoulli coin
 //!   per *frontier* node per round, or a geometric skip between
 //!   successful transmitters when `p > 0.75`,
 //! * a transmitter leaves the frontier the moment it can no longer
@@ -32,21 +32,23 @@
 //! differs, so per-seed outcomes differ while every distribution
 //! matches — `crates/core/tests/flood_equivalence.rs` pins this.
 //!
-//! The tape-addressed lane and graph-variant batch run one round loop,
-//! [`ShardedFlood`]'s, over a [`ShardStore`]: `FastFlood` owns its
-//! target lists as an in-RAM store, and out-of-core runs read disk
-//! segments through the same loop.
+//! The tape-addressed lanes and batches run one round loop per trial
+//! width, [`ShardedFlood`]'s, over a [`ShardStore`]: `FastFlood` owns
+//! its target lists as an in-RAM store, and out-of-core runs read disk
+//! segments through the same loops. Only the silent tree-variant batch
+//! has a round-free shortcut of its own.
 //!
 //! Every entry point also has a `*_model` sibling parametric in a
-//! [`FaultModel`](crate::kernel::FaultModel): `Silent` models (i.i.d.
-//! omission, throttled mixtures, worst-case placement) run the same
-//! frontier machinery with the model supplying the per-site corruption
-//! masks — the plain entry points are these drivers at the
-//! [`Omission`](crate::kernel::Omission) instance. Corrupted-*value* models (`Flip` /
-//! `Lie`, the paper's malicious transmitters) run a deterministic-
-//! timing value pass instead: every delivery succeeds, node `v` is
-//! informed at its BFS depth, and the outcome tracks which nodes end
-//! up *correctly* informed.
+//! [`FaultModel`], and the loops read the
+//! model's coin at one point per transmission. A `Silent` coin (i.i.d.
+//! omission, throttled mixtures, worst-case placement) suppresses the
+//! transmission — the plain entry points are these drivers at the
+//! [`Omission`] instance. A corrupted-*value*
+//! coin (`Flip` / `Lie`, the paper's malicious transmitters) lets the
+//! transmission through and rewrites the value it delivers, so every
+//! node is informed at its BFS depth; a node ends *correctly* informed
+//! iff every delivery of its inform round carried the true value, and
+//! the outcome tracks the correctly informed nodes.
 //!
 //! Unlike the general engine, the fast path is **defined on graphs that
 //! are disconnected from the source**: it floods the source's component
@@ -62,15 +64,23 @@ use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, Shard
 use randcast_graph::{CsrGraph, CsrTree, NodeId};
 
 use crate::kernel::{
-    lane_popcounts, planes_add_one_masked, planes_assign, planes_eq_mask, planes_gt_mask,
-    planes_le_mask, BatchedInformedSet, CorruptionKind, Crossings, FaultModel, FaultSampler,
-    FaultTapes, InformedSet, LaneCounter, LaneMask, Omission, ShardFrontier, LANES,
+    deliver, lane_popcounts, planes_add_one_masked, planes_assign, planes_eq_mask, planes_gt_mask,
+    planes_le_mask, BatchCurve, BatchedInformedSet, CorruptionKind, Crossings, FaultModel,
+    FaultSampler, FaultTapes, FrontierBatch, FrontierOutcome, InformedSet, LaneCounter, LaneMask,
+    Omission, RoundLog, ShardFrontier, LANES,
 };
 
-/// The fault-coin site of `(node, index)`: the index (a 1-based round
-/// for the graph-variant batch, a 0-based attempt number for the
-/// tree-variant batch) and a `u32` node id pack losslessly into one
-/// `u64`.
+/// Outcome of one fast-path flood (the kernels' shared
+/// [`FrontierOutcome`]).
+pub type FastFloodOutcome = FrontierOutcome;
+
+/// Outcome of one batched 64-lane flood block (the kernels' shared
+/// [`FrontierBatch`]).
+pub type FastFloodBatch = FrontierBatch;
+
+/// The fault-coin site of `(node, index)`: the index (a 1-based round,
+/// or a 0-based attempt number for silent tree-variant plans) and a
+/// `u32` node id pack losslessly into one `u64`.
 fn fault_site(index: usize, v: u32) -> u64 {
     (index as u64) << 32 | u64::from(v)
 }
@@ -91,9 +101,10 @@ pub enum FastFloodVariant {
 /// horizon. The target arrays come straight from the [`CsrGraph`] /
 /// [`CsrTree`] substrate and live in an in-RAM [`ShardStore`] viewed
 /// along a node-range plan (one shard unless
-/// [`with_shards`](Self::with_shards) says otherwise); silent lanes and
-/// graph-variant batches run the one round loop of [`ShardedFlood`]
-/// over it — the loop out-of-core runs use.
+/// [`with_shards`](Self::with_shards) says otherwise); lanes and
+/// batches of every fault model (the silent tree-variant batch aside)
+/// run the round loops of [`ShardedFlood`] over it — the loops
+/// out-of-core runs use.
 pub struct FastFlood {
     core: ShardedFlood,
     /// Nodes reachable from the source along transmission targets, in
@@ -183,7 +194,7 @@ impl FastFlood {
     ///
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
-    pub fn run(&self, p: f64, seed: u64) -> FastFloodOutcome {
+    pub fn run(&self, p: f64, seed: u64) -> FrontierOutcome {
         let sampler = FaultSampler::new(p);
         let targets = self.targets();
         let (n, source, horizon) = (self.node_count(), self.core.source, self.core.horizon);
@@ -244,7 +255,7 @@ impl FastFlood {
             );
         }
 
-        FastFloodOutcome {
+        FrontierOutcome {
             n,
             horizon,
             completion_round,
@@ -263,13 +274,13 @@ impl FastFlood {
     /// the site addressing is what lets
     /// [`run_batch`](Self::run_batch) reproduce this outcome
     /// *exactly*, lane for lane — see
-    /// [`FastFloodBatch::lane_outcome`].
+    /// [`FrontierBatch::lane_outcome`].
     ///
     /// # Panics
     ///
     /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
     #[must_use]
-    pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastFloodOutcome {
+    pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FrontierOutcome {
         self.core
             .run_lane(p, block_seed, lane)
             .expect("RAM views are infallible")
@@ -295,7 +306,7 @@ impl FastFlood {
     ///
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
-    pub fn run_batch(&self, p: f64, block_seed: u64) -> FastFloodBatch {
+    pub fn run_batch(&self, p: f64, block_seed: u64) -> FrontierBatch {
         assert!((0.0..1.0).contains(&p), "failure probability out of range");
         self.run_batch_model(&Omission::new(p), block_seed)
     }
@@ -315,7 +326,7 @@ impl FastFlood {
         &self,
         model: &M,
         tapes: &FaultTapes,
-    ) -> FastFloodBatch {
+    ) -> FrontierBatch {
         let targets = self.targets();
         let order = &self.order;
         let n = self.node_count();
@@ -543,7 +554,7 @@ impl FastFlood {
             };
         }
 
-        FastFloodBatch {
+        FrontierBatch {
             n,
             horizon: h,
             informed: BatchedInformedSet::from_parts(informed_masks, counts),
@@ -556,24 +567,6 @@ impl FastFlood {
                 unfinished,
             },
         }
-    }
-
-    /// Per-node BFS depth along transmission targets (`u32::MAX` for
-    /// nodes unreachable from the source). First-write-wins over the
-    /// BFS order, so graph-variant cross edges cannot inflate a depth —
-    /// for trees this is simply the unique root distance.
-    fn bfs_levels(&self) -> Vec<u32> {
-        let targets = self.targets();
-        let mut level = vec![u32::MAX; self.node_count()];
-        level[self.core.source as usize] = 0;
-        for &v in &self.order {
-            for &t in targets.neighbors_of(v as usize) {
-                if level[t as usize] == u32::MAX {
-                    level[t as usize] = level[v as usize] + 1;
-                }
-            }
-        }
-        level
     }
 
     /// Runs the model's placement preprocessing against this plan's CSR
@@ -592,14 +585,14 @@ impl FastFlood {
         }
     }
 
-    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
-    /// `Silent` models run the frontier replay (byte-identical to the
-    /// omission path for [`Omission`]); corrupted-value models
-    /// (`Flip` / `Lie`) run the deterministic-timing value pass — every
-    /// transmission delivers, so node `v` is informed exactly at its
-    /// BFS depth, and the adversary decides which lanes receive the
-    /// *correct* value. The outcome's informed set and growth curve
-    /// then track the **correctly informed** nodes.
+    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`],
+    /// through [`ShardedFlood::run_lane_model`]. `Silent` models run the
+    /// frontier replay (byte-identical to the omission path for
+    /// [`Omission`]); under corrupted-value models (`Flip` / `Lie`)
+    /// every transmission delivers, so node `v` is informed exactly at
+    /// its BFS depth, and the adversary decides which lanes receive the
+    /// *correct* value. The outcome's informed set and growth curve then
+    /// track the **correctly informed** nodes.
     ///
     /// # Panics
     ///
@@ -610,207 +603,29 @@ impl FastFlood {
         model: &M,
         block_seed: u64,
         lane: u32,
-    ) -> FastFloodOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        match model.kind() {
-            CorruptionKind::Silent => self
-                .core
-                .run_lane_model(model, block_seed, lane)
-                .expect("RAM views are infallible"),
-            _ => self.run_lane_values(model, &FaultTapes::new(block_seed), lane),
-        }
+    ) -> FrontierOutcome {
+        self.core
+            .run_lane_model(model, block_seed, lane)
+            .expect("RAM views are infallible")
     }
 
     /// [`run_batch`](Self::run_batch) under an arbitrary
     /// [`FaultModel`]; lane `k` is byte-identical to
     /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`.
-    /// See [`run_lane_model`](Self::run_lane_model) for the
-    /// corrupted-value semantics.
+    /// Silent tree-variant blocks run the round-free schedule pass;
+    /// every other block runs [`ShardedFlood::run_batch_model`].
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
-    ) -> FastFloodBatch {
-        let tapes = FaultTapes::new(block_seed);
-        match (model.kind(), self.core.variant) {
-            (CorruptionKind::Silent, FastFloodVariant::Tree) => self.run_batch_tree(model, &tapes),
-            (CorruptionKind::Silent, FastFloodVariant::Graph) => self
-                .core
-                .run_batch_model(model, block_seed, self.order.len())
-                .expect("RAM views are infallible"),
-            _ => self.run_batch_values(model, &tapes),
+    ) -> FrontierBatch {
+        if model.kind() == CorruptionKind::Silent && self.core.variant == FastFloodVariant::Tree {
+            return self.run_batch_tree(model, &FaultTapes::new(block_seed));
         }
-    }
-
-    /// Corrupted-value scalar backend: deliveries always succeed, so
-    /// timing is the deterministic BFS schedule and only message
-    /// *values* are at stake. Node `t` at depth `d` hears all of its
-    /// depth-`d − 1` neighbors simultaneously at round `d` and ends up
-    /// correctly informed iff every one of them delivered the true
-    /// value — a `Flip` transmitter delivers its own value XOR the
-    /// corruption coin, a `Lie` transmitter delivers the true value
-    /// only when uncorrupted and holding it. The returned informed set
-    /// and growth curve track the correctly informed nodes (the
-    /// quantity the paper's malicious feasibility results are about).
-    fn run_lane_values<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        lane: u32,
-    ) -> FastFloodOutcome {
-        let targets = self.targets();
-        let n = self.node_count();
-        let level = self.bfs_levels();
-        let order = &self.order;
-        let max_depth = order
-            .iter()
-            .map(|&v| level[v as usize] as usize)
-            .max()
-            .unwrap_or(0);
-        let levels = max_depth.min(self.core.horizon);
-
-        // Every reachable node within the horizon is informed at its
-        // depth; values start true and parent contributions AND in.
-        let mut val = vec![false; n];
-        for &v in order {
-            if (level[v as usize] as usize) <= levels {
-                val[v as usize] = true;
-            }
-        }
-        for &u in order {
-            let du = level[u as usize] as usize;
-            if du >= levels {
-                break; // order is level-sorted: no transmitters left
-            }
-            let kids = targets.neighbors_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let corrupt = model.corrupt_lane(tapes, fault_site(du + 1, u), u, lane);
-            let c = match model.kind() {
-                CorruptionKind::Flip => val[u as usize] ^ corrupt,
-                _ => val[u as usize] && !corrupt,
-            };
-            for &t in kids {
-                if level[t as usize] as usize == du + 1 {
-                    val[t as usize] &= c;
-                }
-            }
-        }
-
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.core.source);
-        let mut informed_by_round = Vec::with_capacity(levels + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-        let mut count = 1usize;
-        let mut i = 1;
-        for l in 1..=levels {
-            while i < order.len() && level[order[i] as usize] as usize == l {
-                let v = order[i];
-                if val[v as usize] {
-                    informed.insert(v);
-                    count += 1;
-                }
-                i += 1;
-            }
-            informed_by_round.push(count);
-            if completion_round.is_none() && count == n {
-                completion_round = Some(l);
-            }
-        }
-
-        FastFloodOutcome {
-            n,
-            horizon: self.core.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        }
-    }
-
-    /// Corrupted-value batch backend: the 64-lane value pass of
-    /// [`run_lane_values`](Self::run_lane_values). Contributions are
-    /// lane masks composed by AND — commutative, so the pass does not
-    /// depend on visiting order. The per-level counting pass
-    /// snapshots the correct-count planes in the same arena layout as
-    /// the graph-variant silent backend, so
-    /// [`FastFloodBatch::lane_outcome`] reconstructs each lane's
-    /// correct-count curve unchanged.
-    fn run_batch_values<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-    ) -> FastFloodBatch {
-        let targets = self.targets();
-        let order = &self.order;
-        let n = self.node_count();
-        let level = self.bfs_levels();
-        let reach = order.len();
-        let max_depth = order
-            .iter()
-            .map(|&v| level[v as usize] as usize)
-            .max()
-            .unwrap_or(0);
-        let levels = max_depth.min(self.core.horizon);
-
-        let mut value_masks = vec![0u64; n];
-        for &v in order {
-            if (level[v as usize] as usize) <= levels {
-                value_masks[v as usize] = !0;
-            }
-        }
-        for &u in order {
-            let du = level[u as usize] as usize;
-            if du >= levels {
-                break;
-            }
-            let kids = targets.neighbors_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let corrupt = model.corrupt_mask(tapes, fault_site(du + 1, u), u, !0);
-            let c = match model.kind() {
-                CorruptionKind::Flip => value_masks[u as usize] ^ corrupt,
-                _ => value_masks[u as usize] & !corrupt,
-            };
-            for &t in kids {
-                if level[t as usize] as usize == du + 1 {
-                    value_masks[t as usize] &= c;
-                }
-            }
-        }
-
-        let mut crossings = Crossings::new(n);
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::with_capacity(levels * plane_width);
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1); // the source holds the true value everywhere
-        let mut i = 1;
-        for l in 1..=levels {
-            while i < order.len() && level[order[i] as usize] as usize == l {
-                counts.add_masked(value_masks[order[i] as usize], 1);
-                i += 1;
-            }
-            count_arena.extend_from_slice(counts.planes());
-            count_arena.resize(l * plane_width, 0);
-            crossings.record(&counts, l);
-        }
-
-        FastFloodBatch {
-            n,
-            horizon: self.core.horizon,
-            informed: BatchedInformedSet::from_parts(value_masks, counts),
-            completion_round: crossings.completion,
-            almost_round: crossings.almost,
-            curve: BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed: levels,
-            },
-        }
+        self.core
+            .run_batch_model(model, block_seed, self.order.len())
+            .expect("RAM views are infallible")
     }
 }
 
@@ -836,9 +651,9 @@ fn bfs_order(targets: &CsrGraph, source: u32) -> Vec<u32> {
     order
 }
 
-/// Flooding over a [`ShardStore`]: the one silent round loop behind both
-/// [`FastFlood`]'s lanes and graph-variant batches (a RAM store) and
-/// out-of-core runs, loading one shard's CSR rows at a time through the
+/// Flooding over a [`ShardStore`]: the lane and batch round loops behind
+/// both [`FastFlood`]'s lanes and batches (a RAM store) and out-of-core
+/// runs, loading one shard's CSR rows at a time through the
 /// [`PassLoader`] so peak RSS stays near one shard plus the node-level
 /// state — the `n = 10⁸` path. Outcomes are **bit-identical** to
 /// [`FastFlood::run_lane`] with [`FastFloodVariant::Graph`] on the same
@@ -936,15 +751,17 @@ impl ShardedFlood {
         p: f64,
         block_seed: u64,
         lane: u32,
-    ) -> Result<FastFloodOutcome, ShardError> {
+    ) -> Result<FrontierOutcome, ShardError> {
         assert!((0.0..1.0).contains(&p), "failure probability out of range");
         self.run_lane_model(&Omission::new(p), block_seed, lane)
     }
 
-    /// [`run_lane`](Self::run_lane) under an arbitrary `Silent`
-    /// [`FaultModel`]: a corrupted transmission is suppressed,
-    /// everything else is the omission algorithm (the [`Omission`]
-    /// instance reads exactly the omission coins). Run
+    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`]:
+    /// a `Silent` coin suppresses the transmission (the [`Omission`]
+    /// instance reads exactly the omission coins); a `Flip` / `Lie`
+    /// coin lets it through and rewrites the value it delivers, and the
+    /// outcome tracks the correctly informed nodes (see
+    /// [`FastFlood::run_lane_model`]). Run
     /// [`FaultModel::preprocess_graph`] against the in-core CSR before
     /// sharding if the model needs placement.
     ///
@@ -955,21 +772,34 @@ impl ShardedFlood {
     ///
     /// # Panics
     ///
-    /// Panics if `lane ≥ 64` or the model is not `Silent` — a
-    /// corrupted-value flood has deterministic timing and needs no
-    /// out-of-core frontier at all (use
-    /// [`FastFlood::run_lane_model`]).
+    /// Panics if `lane ≥ 64`.
     pub fn run_lane_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
         lane: u32,
-    ) -> Result<FastFloodOutcome, ShardError> {
+    ) -> Result<FrontierOutcome, ShardError> {
         assert!((lane as usize) < LANES, "lane out of range");
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core flooding supports silent fault models only"
-        );
+        match model.kind() {
+            CorruptionKind::Silent => {
+                self.lane::<M, false>(model, CorruptionKind::Silent, block_seed, lane)
+            }
+            kind => self.lane::<M, true>(model, kind, block_seed, lane),
+        }
+    }
+
+    /// The lane round loop, monomorphized on whether the model corrupts
+    /// values (`VALUES`) or silences transmissions. Each round makes
+    /// two shard-at-a-time passes: one transmitting from the frontier,
+    /// one re-filtering the staged frontier against the end-of-round
+    /// informed set.
+    fn lane<M: FaultModel + ?Sized, const VALUES: bool>(
+        &self,
+        model: &M,
+        kind: CorruptionKind,
+        block_seed: u64,
+        lane: u32,
+    ) -> Result<FrontierOutcome, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let plan = self.store.plan();
         let n = plan.node_count();
@@ -977,10 +807,21 @@ impl ShardedFlood {
         let mut loader = PassLoader::new(&self.store, self.prefetch);
         let mut informed = InformedSet::new(n);
         informed.insert(self.source);
-        // Tree plans index a node's coins by attempt, counted from the
-        // round after it was informed; graph plans need no record.
-        let tree = self.variant == FastFloodVariant::Tree;
-        let mut informed_round = if tree { vec![0u32; n] } else { Vec::new() };
+        // Value models: the nodes holding the true value, and the nodes
+        // a wrong value reached. Deliveries of one inform round combine
+        // by AND, so a node is correct iff no wrong value reached it by
+        // the end of that round (later deliveries are never read).
+        let value_n = if VALUES { n } else { 0 };
+        let mut correct = InformedSet::new(value_n);
+        let mut spoiled = InformedSet::new(value_n);
+        if VALUES {
+            correct.insert(self.source);
+        }
+        // Silent tree plans index a node's coins by attempt, counted
+        // from the round after it was informed; every other plan (and
+        // every value plan, whose nodes transmit exactly once) by round.
+        let attempts = !VALUES && self.variant == FastFloodVariant::Tree;
+        let mut informed_round = vec![0u32; if attempts { n } else { 0 }];
         let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
@@ -1004,39 +845,59 @@ impl ShardedFlood {
                 }
                 let view = loader.view_pass(s, list)?;
                 for &u in list {
-                    let index = if tree {
+                    let index = if attempts {
                         round - 1 - informed_round[u as usize] as usize
                     } else {
                         round
                     };
-                    if model.corrupt_lane(&tapes, fault_site(index, u), u, lane) {
+                    let corrupt = model.corrupt_lane(&tapes, fault_site(index, u), u, lane);
+                    if !VALUES && corrupt {
                         // Failed transmitter: stays in the frontier.
                         staged.push(u);
                         continue;
                     }
+                    let wrong = VALUES
+                        && deliver(kind, u64::from(correct.contains(u)), u64::from(corrupt)) == 0;
                     for &t in view.targets_of(u) {
                         if informed.insert(t) {
-                            if tree {
+                            if attempts {
                                 informed_round[t as usize] = round as u32;
                             }
                             staged.push(t);
                         }
+                        if wrong {
+                            spoiled.insert(t);
+                        }
                     }
                 }
             }
-            informed_by_round.push(informed.count());
-            if completion_round.is_none() && informed.count() == n {
+            if VALUES {
+                // No value transmission fails, so the staged nodes are
+                // exactly this round's newly informed ones.
+                for &t in &staged {
+                    if !spoiled.contains(t) {
+                        correct.insert(t);
+                    }
+                }
+            }
+            let count = if VALUES {
+                correct.count()
+            } else {
+                informed.count()
+            };
+            informed_by_round.push(count);
+            if completion_round.is_none() && count == n {
                 completion_round = Some(round);
             }
             refilter(&mut loader, &mut frontier, &mut staged, &informed)?;
         }
 
-        Ok(FastFloodOutcome {
+        Ok(FrontierOutcome {
             n,
             horizon: self.horizon,
             completion_round,
             informed_by_round,
-            informed,
+            informed: if VALUES { correct } else { informed },
         })
     }
 
@@ -1063,38 +924,49 @@ impl ShardedFlood {
         p: f64,
         block_seed: u64,
         reach: usize,
-    ) -> Result<FastFloodBatch, ShardError> {
+    ) -> Result<FrontierBatch, ShardError> {
         assert!((0.0..1.0).contains(&p), "failure probability out of range");
         self.run_batch_model(&Omission::new(p), block_seed, reach)
     }
 
-    /// [`run_batch`](Self::run_batch) under an arbitrary `Silent`
-    /// [`FaultModel`]. The 64-lane union frontier advances round by
-    /// round; lanes whose informed count has reached `reach` stop
-    /// contributing work, and a stale frontier entry (a lane whose
-    /// targets were covered by someone else) only ever performs no-op
-    /// transmissions before washing out. Lane-mask accumulation is
-    /// value-based, so replaying a round's frontier shard by shard
-    /// leaves every word identical for every plan.
+    /// [`run_batch`](Self::run_batch) under an arbitrary
+    /// [`FaultModel`], with the coin rule of
+    /// [`run_lane_model`](Self::run_lane_model). The 64-lane union
+    /// frontier advances round by round; lanes whose informed count has
+    /// reached `reach` stop contributing work (and their curves end
+    /// there), and a stale frontier entry (a lane whose targets were
+    /// covered by someone else) only ever performs no-op transmissions
+    /// before washing out. Lane-mask accumulation is value-based — and
+    /// value contributions combine by AND — so replaying a round's
+    /// frontier shard by shard leaves every word identical for every
+    /// plan.
     ///
     /// # Errors
     ///
     /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
     /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not `Silent`.
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
         reach: usize,
-    ) -> Result<FastFloodBatch, ShardError> {
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core flooding supports silent fault models only"
-        );
+    ) -> Result<FrontierBatch, ShardError> {
+        match model.kind() {
+            CorruptionKind::Silent => {
+                self.batch::<M, false>(model, CorruptionKind::Silent, block_seed, reach)
+            }
+            kind => self.batch::<M, true>(model, kind, block_seed, reach),
+        }
+    }
+
+    /// The batch round loop, monomorphized like [`lane`](Self::lane).
+    fn batch<M: FaultModel + ?Sized, const VALUES: bool>(
+        &self,
+        model: &M,
+        kind: CorruptionKind,
+        block_seed: u64,
+        reach: usize,
+    ) -> Result<FrontierBatch, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let plan = self.store.plan();
         let n = plan.node_count();
@@ -1102,11 +974,16 @@ impl ShardedFlood {
         let mut loader = PassLoader::new(&self.store, self.prefetch);
         let mut informed = BatchedInformedSet::new(n);
         informed.insert_masked(self.source, !0);
+        // Value models: the lane-sliced correct and spoiled sets of the
+        // lane loop.
+        let value_n = if VALUES { n } else { 0 };
+        let mut correct = BatchedInformedSet::new(value_n);
+        let mut spoiled: Vec<LaneMask> = vec![0; value_n];
+        if VALUES {
+            correct.insert_masked(self.source, !0);
+        }
         let mut crossings = Crossings::new(n);
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
+        let mut log = RoundLog::new(n);
 
         // The union frontier: per-shard lists of nodes whose
         // `frontier_mask` has at least one live lane in which the node
@@ -1135,13 +1012,15 @@ impl ShardedFlood {
 
         // A lane is live (its replay still executes rounds) while its
         // informed count is below the closure size.
-        let mut live: LaneMask = if reach > 1 { !0 } else { 0 };
+        if reach <= 1 {
+            log.retire(!0);
+        }
 
         for round in 1..=self.horizon {
+            let live = !log.retired;
             if live == 0 {
                 break;
             }
-            executed += 1;
             pending_nodes.clear();
             let mut changed = false;
 
@@ -1155,16 +1034,28 @@ impl ShardedFlood {
                 for i in 0..list.len() {
                     let v = list[i];
                     let fm = frontier_mask[v as usize] & live;
-                    if fm == 0 {
+                    // A dead entry, or one without targets (a tree leaf)
+                    // that can never inform anyone, leaves before
+                    // drawing a coin.
+                    let row = if fm == 0 { &[][..] } else { view.targets_of(v) };
+                    if row.is_empty() {
                         frontier_mask[v as usize] = 0;
                         in_frontier[v as usize] = false;
                         continue;
                     }
                     let fail = model.corrupt_mask(&tapes, fault_site(round, v), v, fm);
-                    let succ = fm & !fail;
+                    let succ = if VALUES { fm } else { fm & !fail };
+                    let wrong = if VALUES {
+                        fm & !deliver(kind, correct.lanes(v), fail)
+                    } else {
+                        0
+                    };
                     if succ != 0 {
-                        for &t in view.targets_of(v) {
+                        for &t in row {
                             let newly = informed.insert_masked(t, succ);
+                            if VALUES {
+                                spoiled[t as usize] |= wrong;
+                            }
                             if newly != 0 {
                                 changed = true;
                                 if pending[t as usize] == 0 {
@@ -1176,7 +1067,7 @@ impl ShardedFlood {
                     }
                     // A successful lane informed all of v's targets: v
                     // leaves that lane's frontier. Failed lanes stay.
-                    let keep = fm & fail;
+                    let keep = fm & !succ;
                     frontier_mask[v as usize] = keep;
                     if keep != 0 {
                         list[write] = v;
@@ -1190,36 +1081,37 @@ impl ShardedFlood {
             // Merge the staged frontier masks after all of the round's
             // shard passes.
             for &t in &pending_nodes {
-                frontier_mask[t as usize] |= pending[t as usize];
-                pending[t as usize] = 0;
-                if !in_frontier[t as usize] {
-                    in_frontier[t as usize] = true;
+                let ti = t as usize;
+                if VALUES {
+                    correct.insert_masked(t, pending[ti] & !spoiled[ti]);
+                }
+                frontier_mask[ti] |= pending[ti];
+                pending[ti] = 0;
+                if !in_frontier[ti] {
+                    in_frontier[ti] = true;
                     frontier[plan.shard_of(t)].push(t);
                 }
             }
 
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
+            let counts = if VALUES {
+                correct.counts()
+            } else {
+                informed.counts()
+            };
+            log.push(counts);
             if changed {
-                crossings.record(informed.counts(), round);
-                live &= !informed.counts().ge_mask(reach as u64);
+                crossings.record(counts, round);
+                log.retire(informed.counts().ge_mask(reach as u64));
             }
         }
 
-        Ok(FastFloodBatch {
-            n,
-            horizon: self.horizon,
+        let informed = if VALUES { correct } else { informed };
+        Ok(FrontierBatch::from_rounds(
+            self.horizon,
             informed,
-            completion_round: crossings.completion,
-            almost_round: crossings.almost,
-            curve: BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed,
-            },
-        })
+            crossings,
+            log,
+        ))
     }
 }
 
@@ -1244,246 +1136,6 @@ fn refilter(
         });
     }
     Ok(())
-}
-
-/// Backend-specific data for reconstructing per-lane growth curves.
-#[derive(Clone, PartialEq, Debug)]
-enum BatchCurve {
-    /// Graph-variant backend: per-round count-plane snapshots.
-    Rounds {
-        /// Size of the source's targets-closure component: a lane's
-        /// replay stops recording once its count reaches this.
-        reach: usize,
-        plane_width: usize,
-        /// `executed × plane_width` words: the per-lane informed counts
-        /// after each executed round.
-        count_arena: Vec<u64>,
-        executed: usize,
-    },
-    /// Tree-variant backend: per-node inform rounds in bit-plane form.
-    Schedule {
-        s_width: usize,
-        /// `n × s_width` words: node `v`'s per-lane inform round
-        /// (`horizon + 1` = never informed).
-        s_planes: Vec<u64>,
-        /// Per-lane max inform round over informed nodes: the last
-        /// executed round in lanes whose frontier drained in time.
-        max_round: Vec<u64>,
-        /// Lanes where some node attempted through the horizon without
-        /// success: their last executed round is the horizon itself.
-        unfinished: LaneMask,
-    },
-}
-
-/// Outcome of one batched 64-lane flood block; per-lane views are
-/// byte-identical to the corresponding [`FastFlood::run_lane`] replay.
-#[derive(Clone, PartialEq, Debug)]
-pub struct FastFloodBatch {
-    n: usize,
-    horizon: usize,
-    informed: BatchedInformedSet,
-    completion_round: Vec<Option<usize>>,
-    almost_round: Vec<Option<usize>>,
-    curve: BatchCurve,
-}
-
-impl FastFloodBatch {
-    /// Number of nodes in the graph.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Lane `k`'s completion round (`None` if that trial never
-    /// completed).
-    #[must_use]
-    pub fn completion_round(&self, lane: u32) -> Option<usize> {
-        self.completion_round[lane as usize]
-    }
-
-    /// Lane `k`'s first round with an almost-complete (`≥ n − 1`)
-    /// informed set.
-    #[must_use]
-    pub fn almost_complete_round(&self, lane: u32) -> Option<usize> {
-        self.almost_round[lane as usize]
-    }
-
-    /// Lane `k`'s final informed count.
-    #[must_use]
-    pub fn informed_count(&self, lane: u32) -> usize {
-        self.informed.count(lane)
-    }
-
-    /// Lane `k`'s final informed fraction.
-    #[must_use]
-    pub fn informed_fraction(&self, lane: u32) -> f64 {
-        self.informed.count(lane) as f64 / self.n as f64
-    }
-
-    /// Reconstructs lane `k`'s full scalar outcome — equal to
-    /// [`FastFlood::run_lane`] with the same block seed and lane.
-    #[must_use]
-    pub fn lane_outcome(&self, lane: u32) -> FastFloodOutcome {
-        let mut informed = InformedSet::new(self.n);
-        for v in 0..self.n as u32 {
-            if self.informed.lane_contains(v, lane) {
-                informed.insert(v);
-            }
-        }
-        let informed_by_round = match &self.curve {
-            BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed,
-            } => {
-                let mut curve = vec![1usize];
-                let mut prev = 1usize;
-                for r in 0..*executed {
-                    if prev >= *reach {
-                        // An empty frontier never refills: once the
-                        // count hits the closure size, the lane's
-                        // replay stopped here.
-                        break;
-                    }
-                    let planes = &count_arena[r * plane_width..(r + 1) * plane_width];
-                    let count = LaneCounter::get_in(planes, lane) as usize;
-                    curve.push(count);
-                    prev = count;
-                }
-                curve
-            }
-            BatchCurve::Schedule {
-                s_width,
-                s_planes,
-                max_round,
-                unfinished,
-            } => {
-                // Counting sort of the lane's inform rounds: every
-                // informed node's round is ≤ the lane's last executed
-                // round, so the prefix sums are the growth curve.
-                let w = *s_width;
-                let last = if unfinished >> lane & 1 == 1 {
-                    self.horizon
-                } else {
-                    LaneCounter::get_in(max_round, lane) as usize
-                };
-                let mut curve = vec![0usize; last + 1];
-                for v in 0..self.n {
-                    let s = LaneCounter::get_in(&s_planes[v * w..(v + 1) * w], lane) as usize;
-                    if s <= last {
-                        curve[s] += 1;
-                    }
-                }
-                for r in 1..=last {
-                    curve[r] += curve[r - 1];
-                }
-                curve
-            }
-        };
-        FastFloodOutcome {
-            n: self.n,
-            horizon: self.horizon,
-            completion_round: self.completion_round[lane as usize],
-            informed_by_round,
-            informed,
-        }
-    }
-}
-
-/// Outcome of one fast-path flood: the informed set, its growth curve,
-/// and derived completion metrics.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FastFloodOutcome {
-    n: usize,
-    horizon: usize,
-    informed: InformedSet,
-    completion_round: Option<usize>,
-    /// `informed_by_round[r]` = nodes informed by the end of round `r`
-    /// (`[0] == 1`, the source). The run stops early once nothing can
-    /// change, so the vector may be shorter than `horizon + 1`; counts
-    /// are constant from its last entry onward.
-    informed_by_round: Vec<usize>,
-}
-
-impl FastFloodOutcome {
-    /// Number of nodes in the graph.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The horizon the plan was allowed to run.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Whether every node (not just the source's component) was
-    /// informed within the horizon.
-    #[must_use]
-    pub fn complete(&self) -> bool {
-        self.completion_round.is_some()
-    }
-
-    /// The round by which the last node was informed, `None` if the
-    /// broadcast never completed (too few rounds, or the graph is
-    /// disconnected from the source).
-    #[must_use]
-    pub fn completion_round(&self) -> Option<usize> {
-        self.completion_round
-    }
-
-    /// Number of informed nodes at the end of the run.
-    #[must_use]
-    pub fn informed_count(&self) -> usize {
-        self.informed.count()
-    }
-
-    /// Informed fraction `informed / n` at the end of the run.
-    #[must_use]
-    pub fn informed_fraction(&self) -> f64 {
-        self.informed.count() as f64 / self.n as f64
-    }
-
-    /// Whether node `v` ended the run informed.
-    #[must_use]
-    pub fn is_informed(&self, v: NodeId) -> bool {
-        self.informed.contains(u32::from(v))
-    }
-
-    /// The per-round cumulative informed counts (see the field docs).
-    #[must_use]
-    pub fn informed_by_round(&self) -> &[usize] {
-        &self.informed_by_round
-    }
-
-    /// The first round by which at least `count` nodes were informed.
-    #[must_use]
-    pub fn round_reaching(&self, count: usize) -> Option<usize> {
-        self.informed_by_round.iter().position(|&c| c >= count)
-    }
-
-    /// The first round by which an *almost-complete* set — at least
-    /// `⌈(1 − 1/n)·n⌉ = n − 1` nodes — was informed; the metric of the
-    /// rapid almost-complete broadcasting regime.
-    #[must_use]
-    pub fn almost_complete_round(&self) -> Option<usize> {
-        self.round_reaching(self.n.saturating_sub(1).max(1))
-    }
-
-    /// The first round by which at least `frac · n` nodes (rounded up)
-    /// were informed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac ∉ [0, 1]`.
-    #[must_use]
-    pub fn time_to_fraction(&self, frac: f64) -> Option<usize> {
-        assert!((0.0..=1.0).contains(&frac), "fraction out of range");
-        let target = (frac * self.n as f64).ceil() as usize;
-        self.round_reaching(target.max(1))
-    }
 }
 
 #[cfg(test)]

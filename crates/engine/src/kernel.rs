@@ -1,6 +1,7 @@
 //! The shared large-`n` simulation kernel: the informed bitmask,
-//! aggregate fault samplers, and collision-counting scratch that the
-//! fast-path engines ([`crate::flood_fast`], [`crate::radio_fast`],
+//! aggregate fault samplers, collision-counting scratch, the fault
+//! models and the flood/radio result types that the fast-path engines
+//! ([`crate::flood_fast`], [`crate::radio_fast`],
 //! [`crate::simple_fast`]) are built from.
 //!
 //! Before this module each fast engine owned a private copy of the same
@@ -35,6 +36,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use randcast_graph::NodeId;
 use randcast_stats::seed::{splitmix64, SeedSequence};
 
 /// A word-level node bitmask with a running popcount — the informed
@@ -78,46 +80,18 @@ impl InformedSet {
     pub fn count(&self) -> usize {
         self.count
     }
-
-    /// Number of set nodes inside the node range `start..end` — the
-    /// per-shard informed count of a sharded pass (one popcount per
-    /// word, edge words masked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end` exceeds the set's node range.
-    #[must_use]
-    pub fn count_range(&self, start: u32, end: u32) -> usize {
-        assert!(start <= end, "inverted range");
-        let (start, end) = (start as usize, end as usize);
-        if start == end {
-            return 0;
-        }
-        let (w0, w1) = (start / 64, (end - 1) / 64);
-        let lo_mask = !0u64 << (start % 64);
-        let hi_mask = !0u64 >> (63 - (end - 1) % 64);
-        if w0 == w1 {
-            return (self.words[w0] & lo_mask & hi_mask).count_ones() as usize;
-        }
-        let mut total = (self.words[w0] & lo_mask).count_ones() as usize;
-        for &w in &self.words[w0 + 1..w1] {
-            total += w.count_ones() as usize;
-        }
-        total + (self.words[w1] & hi_mask).count_ones() as usize
-    }
 }
 
 /// Per-shard frontier (or participant) lists: the node queue of a
 /// sharded pass, kept as one list per shard so a round can be replayed
-/// shard-at-a-time against one resident [`ShardView`] at a time
+/// shard-at-a-time against one resident shard view at a time
 /// (`randcast_graph::shard::ShardView`). Routing is the caller's
 /// (`ShardPlan::shard_of`); this type only owns the lists, so the
 /// kernel stays independent of the graph crate.
 ///
 /// The flood round loop stages next-round candidates in one flat list
 /// and routes them here with [`route_from`](Self::route_from) at each
-/// round boundary; [`refill_from`](Self::refill_from) moves filtered
-/// contents between two frontiers shard by shard.
+/// round boundary.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ShardFrontier {
     lists: Vec<Vec<u32>>,
@@ -192,21 +166,6 @@ impl ShardFrontier {
     /// Keeps the nodes of shard `s`'s list that pass `keep`, in order.
     pub fn retain(&mut self, s: usize, keep: impl FnMut(&u32) -> bool) {
         self.lists[s].retain(keep);
-    }
-
-    /// Replaces shard `s`'s list with the nodes of `staged`'s shard `s`
-    /// that pass `keep`, draining the staged list — the round-boundary
-    /// filter of a sharded frontier pass (`keep` is the monolithic
-    /// has-uninformed-target predicate, evaluated against one shard
-    /// view).
-    pub fn refill_from(
-        &mut self,
-        staged: &mut ShardFrontier,
-        s: usize,
-        mut keep: impl FnMut(u32) -> bool,
-    ) {
-        self.lists[s].clear();
-        self.lists[s].extend(staged.lists[s].drain(..).filter(|&v| keep(v)));
     }
 }
 
@@ -481,6 +440,11 @@ impl CollisionCounter {
 /// listener shard (the informed bitset is order-free, the participant
 /// list of shard ℓ receives exactly ℓ's restriction). See DESIGN.md,
 /// "Parallel collision drain".
+///
+/// A listener's byte is `0` (untouched), `1 | value << 1` (one
+/// transmitter, carrying `value`) or `2` (collision), so a
+/// corrupted-value round reads the sole transmitter's value at no extra
+/// memory.
 #[derive(Clone, Debug)]
 pub struct ShardedCollisions {
     bounds: Vec<u32>,
@@ -509,13 +473,22 @@ impl ShardedCollisions {
 
     /// Records one transmission reaching listener `v`. The shard lookup
     /// runs only on first touch.
+    #[inline]
     pub fn add(&mut self, v: u32) {
+        self.add_value(v, false);
+    }
+
+    /// Records one transmission carrying `value` reaching listener `v`.
+    #[inline]
+    pub(crate) fn add_value(&mut self, v: u32, value: bool) {
         let vi = v as usize;
         if self.counts[vi] == 0 {
             let s = self.bounds.partition_point(|&b| b <= v) - 1;
             self.touched[s].push(v);
+            self.counts[vi] = 1 | u8::from(value) << 1;
+        } else {
+            self.counts[vi] = 2;
         }
-        self.counts[vi] = self.counts[vi].saturating_add(1);
     }
 
     /// Visits every listener that heard **exactly one** transmitter —
@@ -528,13 +501,20 @@ impl ShardedCollisions {
     /// and the reset still run sequentially, so the callback sees a
     /// thread-count-independent sequence.
     pub fn drain_sole_receivers(&mut self, threads: usize, mut hear: impl FnMut(usize, u32)) {
+        self.drain_values(threads, |s, v, _| hear(s, v));
+    }
+
+    /// [`drain_sole_receivers`](Self::drain_sole_receivers) that also
+    /// hands `hear` the value the sole transmitter carried.
+    pub(crate) fn drain_values(&mut self, threads: usize, mut hear: impl FnMut(usize, u32, bool)) {
         let k = self.touched.len();
         if threads <= 1 || k <= 1 {
             for s in 0..k {
                 for i in 0..self.touched[s].len() {
                     let v = self.touched[s][i];
-                    if self.counts[v as usize] == 1 {
-                        hear(s, v);
+                    let c = self.counts[v as usize];
+                    if c & 1 == 1 {
+                        hear(s, v, c == 3);
                     }
                     self.counts[v as usize] = 0;
                 }
@@ -548,12 +528,12 @@ impl ShardedCollisions {
             touched[s]
                 .iter()
                 .copied()
-                .filter(|&v| counts[v as usize] == 1)
+                .filter(|&v| counts[v as usize] & 1 == 1)
                 .collect::<Vec<u32>>()
         });
         for (s, list) in sole.into_iter().enumerate() {
             for v in list {
-                hear(s, v);
+                hear(s, v, self.counts[v as usize] == 3);
             }
         }
         for list in &mut self.touched {
@@ -578,24 +558,38 @@ impl ShardedCollisions {
 /// ascending order replays the monolithic first-touch order restricted
 /// to each shard — and since a listener's words belong to its shard
 /// alone, the parallel drain hands each worker its shard's slice of the
-/// `once`/`twice` planes.
+/// `once`/`twice` (and `first`) planes.
 pub(crate) struct ShardedLaneCollisions {
     bounds: Vec<u32>,
     once: Vec<LaneMask>,
     twice: Vec<LaneMask>,
+    /// Corrupted-value rounds only (empty otherwise): per listener, the
+    /// value its first transmitter carried in each lane.
+    first: Vec<LaneMask>,
     touched: Vec<Vec<u32>>,
 }
 
 impl ShardedLaneCollisions {
-    /// Zeroed accumulators over the shard bounds of a plan.
-    pub(crate) fn new(bounds: &[u32]) -> Self {
+    /// Zeroed accumulators over the shard bounds of a plan, with a
+    /// first-transmitter value plane iff `values`.
+    pub(crate) fn new(bounds: &[u32], values: bool) -> Self {
         let n = bounds[bounds.len() - 1] as usize;
         ShardedLaneCollisions {
             bounds: bounds.to_vec(),
             once: vec![0; n],
             twice: vec![0; n],
+            first: vec![0; if values { n } else { 0 }],
             touched: vec![Vec::new(); bounds.len() - 1],
         }
+    }
+
+    /// [`add`](Self::add) for a transmission carrying the lane values
+    /// `value`: lanes where it is the first to reach `t` record them.
+    #[inline]
+    pub(crate) fn add_value(&mut self, t: u32, need: LaneMask, value: LaneMask) {
+        let ti = t as usize;
+        self.first[ti] |= value & need & !self.once[ti];
+        self.add(t, need);
     }
 
     /// Records one transmission reaching listener `t` in lanes `need`.
@@ -615,12 +609,18 @@ impl ShardedLaneCollisions {
     }
 
     /// Visits every touched listener with the lanes in which it heard
-    /// **exactly one** transmitter (skipping listeners that heard none),
-    /// in ascending listener shard and first-touch order, then resets
+    /// **exactly one** transmitter (skipping listeners that heard none)
+    /// and, with a value plane, the values it heard there — in
+    /// ascending listener shard and first-touch order — then resets
     /// the accumulators. With `threads > 1` the per-shard extraction
     /// and reset run concurrently; `hear` still runs sequentially.
-    pub(crate) fn drain(&mut self, threads: usize, mut hear: impl FnMut(usize, u32, LaneMask)) {
+    pub(crate) fn drain(
+        &mut self,
+        threads: usize,
+        mut hear: impl FnMut(usize, u32, LaneMask, LaneMask),
+    ) {
         let k = self.touched.len();
+        let values = !self.first.is_empty();
         if threads <= 1 || k <= 1 {
             for (s, list) in self.touched.iter_mut().enumerate() {
                 for &t in list.iter() {
@@ -628,8 +628,13 @@ impl ShardedLaneCollisions {
                     let h = self.once[ti] & !self.twice[ti];
                     self.once[ti] = 0;
                     self.twice[ti] = 0;
+                    let value = if values {
+                        std::mem::take(&mut self.first[ti]) & h
+                    } else {
+                        0
+                    };
                     if h != 0 {
-                        hear(s, t, h);
+                        hear(s, t, h, value);
                     }
                 }
                 list.clear();
@@ -637,34 +642,42 @@ impl ShardedLaneCollisions {
             return;
         }
         let mut state = Vec::with_capacity(k);
-        let (mut once, mut twice): (&mut [LaneMask], &mut [LaneMask]) =
-            (&mut self.once, &mut self.twice);
+        let (mut once, mut twice, mut first): (&mut [LaneMask], &mut [LaneMask], &mut [LaneMask]) =
+            (&mut self.once, &mut self.twice, &mut self.first);
         for (s, list) in self.touched.iter_mut().enumerate() {
             let rows = (self.bounds[s + 1] - self.bounds[s]) as usize;
             let (once_s, once_rest) = std::mem::take(&mut once).split_at_mut(rows);
             let (twice_s, twice_rest) = std::mem::take(&mut twice).split_at_mut(rows);
+            let (first_s, first_rest) =
+                std::mem::take(&mut first).split_at_mut(if values { rows } else { 0 });
             once = once_rest;
             twice = twice_rest;
-            state.push((list, once_s, twice_s));
+            first = first_rest;
+            state.push((list, once_s, twice_s, first_s));
         }
         let bounds = &self.bounds;
-        let heard = range_passes(state, threads, |s, (list, once, twice)| {
+        let heard = range_passes(state, threads, |s, (list, once, twice, first)| {
             let mut heard = Vec::with_capacity(list.len());
             for &t in list.iter() {
                 let ti = (t - bounds[s]) as usize;
                 let h = once[ti] & !twice[ti];
                 once[ti] = 0;
                 twice[ti] = 0;
+                let value = if values {
+                    std::mem::take(&mut first[ti]) & h
+                } else {
+                    0
+                };
                 if h != 0 {
-                    heard.push((t, h));
+                    heard.push((t, h, value));
                 }
             }
             list.clear();
             heard
         });
         for (s, list) in heard.into_iter().enumerate() {
-            for (t, h) in list {
-                hear(s, t, h);
+            for (t, h, value) in list {
+                hear(s, t, h, value);
             }
         }
     }
@@ -676,16 +689,6 @@ pub const LANES: usize = 64;
 
 /// A set of trial lanes, bit `k` = lane `k` of the block.
 pub type LaneMask = u64;
-
-/// The lane mask selecting lanes `0..count` (all 64 when `count ≥ 64`).
-#[must_use]
-pub fn lane_mask_first(count: usize) -> LaneMask {
-    if count >= LANES {
-        !0
-    } else {
-        (1u64 << count) - 1
-    }
-}
 
 /// Seed-tree stream label for per-(site) fault coins of a batched
 /// block.
@@ -949,28 +952,6 @@ impl LaneCounter {
         }
     }
 
-    /// Adds another counter's per-lane values to this one — the
-    /// bit-sliced addition of two plane sets, used to fold per-worker
-    /// count deltas back into the global counter. Lane-wise addition is
-    /// commutative and associative, so the fold order cannot change the
-    /// resulting counts.
-    pub fn add_counter(&mut self, other: &LaneCounter) {
-        let width = self.planes.len().max(other.planes.len());
-        let mut carry = 0u64;
-        let mut bit = 0usize;
-        while bit < width || carry != 0 {
-            if self.planes.len() == bit {
-                self.planes.push(0);
-            }
-            let a = self.planes[bit];
-            let b = other.planes.get(bit).copied().unwrap_or(0);
-            let partial = a ^ b;
-            self.planes[bit] = partial ^ carry;
-            carry = (a & b) | (partial & carry);
-            bit += 1;
-        }
-    }
-
     /// Lane `k`'s current count.
     #[must_use]
     pub fn get(&self, lane: u32) -> u64 {
@@ -1087,6 +1068,310 @@ impl Crossings {
     }
 }
 
+/// A batch round loop's per-round count-plane snapshots, and where each
+/// lane's growth curve ends: the number of rounds its scalar replay
+/// executes before it stops.
+pub(crate) struct RoundLog {
+    plane_width: usize,
+    /// `executed × plane_width` words: the per-lane counts after each
+    /// executed round.
+    arena: Vec<u64>,
+    executed: usize,
+    /// Lanes whose replay has stopped.
+    pub(crate) retired: LaneMask,
+    end: Vec<Option<usize>>,
+}
+
+impl RoundLog {
+    pub(crate) fn new(n: usize) -> Self {
+        RoundLog {
+            plane_width: (usize::BITS - n.leading_zeros()) as usize,
+            arena: Vec::new(),
+            executed: 0,
+            retired: 0,
+            end: vec![None; LANES],
+        }
+    }
+
+    /// Appends one executed round's counts.
+    pub(crate) fn push(&mut self, counts: &LaneCounter) {
+        self.executed += 1;
+        self.arena.extend_from_slice(counts.planes());
+        self.arena.resize(self.executed * self.plane_width, 0);
+    }
+
+    /// Stops the not-yet-retired lanes of `lanes`: their curves end
+    /// after the rounds executed so far.
+    pub(crate) fn retire(&mut self, lanes: LaneMask) {
+        let newly = lanes & !self.retired;
+        record_crossings(newly, self.executed, &mut self.end);
+        self.retired |= newly;
+    }
+}
+
+/// The delivery rule of a corrupted-value transmission: what a sender
+/// holding the true value in the lanes of `value` delivers when its
+/// transmission is corrupted in the lanes of `corrupt`. A `Flip` fault
+/// inverts the sender's value; a `Lie` fault delivers the constant lie
+/// (`false`). A scalar lane is the one-bit case.
+#[inline]
+pub(crate) fn deliver(kind: CorruptionKind, value: LaneMask, corrupt: LaneMask) -> LaneMask {
+    match kind {
+        CorruptionKind::Flip => value ^ corrupt,
+        _ => value & !corrupt,
+    }
+}
+
+/// Outcome of one fast-path flood or radio broadcast: the informed set
+/// (under a corrupted-value model, the *correctly* informed set), its
+/// growth curve, and derived completion metrics.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct FrontierOutcome {
+    pub(crate) n: usize,
+    pub(crate) horizon: usize,
+    pub(crate) informed: InformedSet,
+    pub(crate) completion_round: Option<usize>,
+    /// `informed_by_round[r]` = nodes informed by the end of round `r`
+    /// (`[0] == 1`, the source). The run stops early once nothing can
+    /// change, so the vector may be shorter than `horizon + 1`; counts
+    /// are constant from its last entry onward.
+    pub(crate) informed_by_round: Vec<usize>,
+}
+
+impl FrontierOutcome {
+    /// Number of nodes in the graph.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The horizon the plan was allowed to run.
+    #[must_use]
+    pub fn horizon(&self) -> usize {
+        self.horizon
+    }
+
+    /// Whether every node (not just the source's component) was
+    /// informed within the horizon.
+    #[must_use]
+    pub fn complete(&self) -> bool {
+        self.completion_round.is_some()
+    }
+
+    /// The round by which the last node was informed, `None` if the
+    /// broadcast never completed (too few rounds, or the graph is
+    /// disconnected from the source).
+    #[must_use]
+    pub fn completion_round(&self) -> Option<usize> {
+        self.completion_round
+    }
+
+    /// Number of informed nodes at the end of the run.
+    #[must_use]
+    pub fn informed_count(&self) -> usize {
+        self.informed.count()
+    }
+
+    /// Informed fraction `informed / n` at the end of the run.
+    #[must_use]
+    pub fn informed_fraction(&self) -> f64 {
+        self.informed.count() as f64 / self.n as f64
+    }
+
+    /// Whether node `v` ended the run informed.
+    #[must_use]
+    pub fn is_informed(&self, v: NodeId) -> bool {
+        self.informed.contains(u32::from(v))
+    }
+
+    /// The per-round cumulative informed counts (see the field docs).
+    #[must_use]
+    pub fn informed_by_round(&self) -> &[usize] {
+        &self.informed_by_round
+    }
+
+    /// The first round by which at least `count` nodes were informed.
+    #[must_use]
+    pub fn round_reaching(&self, count: usize) -> Option<usize> {
+        self.informed_by_round.iter().position(|&c| c >= count)
+    }
+
+    /// The first round by which an *almost-complete* set — at least
+    /// `⌈(1 − 1/n)·n⌉ = n − 1` nodes — was informed; the metric of the
+    /// rapid almost-complete broadcasting regime.
+    #[must_use]
+    pub fn almost_complete_round(&self) -> Option<usize> {
+        self.round_reaching(self.n.saturating_sub(1).max(1))
+    }
+
+    /// The first round by which at least `frac · n` nodes (rounded up)
+    /// were informed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frac ∉ [0, 1]`.
+    #[must_use]
+    pub fn time_to_fraction(&self, frac: f64) -> Option<usize> {
+        assert!((0.0..=1.0).contains(&frac), "fraction out of range");
+        let target = (frac * self.n as f64).ceil() as usize;
+        self.round_reaching(target.max(1))
+    }
+}
+
+/// How a [`FrontierBatch`] reconstructs per-lane growth curves.
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) enum BatchCurve {
+    /// A round loop's per-round count-plane snapshots.
+    Rounds {
+        plane_width: usize,
+        /// `executed × plane_width` words: the per-lane counts after
+        /// each executed round.
+        count_arena: Vec<u64>,
+        /// Rounds each lane's replay executed before it stopped.
+        end: Vec<usize>,
+    },
+    /// Flood's round-free tree batch: per-node inform rounds in
+    /// bit-plane form.
+    Schedule {
+        s_width: usize,
+        /// `n × s_width` words: node `v`'s per-lane inform round
+        /// (`horizon + 1` = never informed).
+        s_planes: Vec<u64>,
+        /// Per-lane max inform round over informed nodes: the last
+        /// executed round in lanes whose frontier drained in time.
+        max_round: Vec<u64>,
+        /// Lanes where some node attempted through the horizon without
+        /// success: their last executed round is the horizon itself.
+        unfinished: LaneMask,
+    },
+}
+
+/// Outcome of one batched 64-lane flood or radio block; per-lane views
+/// are byte-identical to the kernel's scalar lane replay.
+#[derive(Clone, PartialEq, Debug)]
+pub struct FrontierBatch {
+    pub(crate) n: usize,
+    pub(crate) horizon: usize,
+    pub(crate) informed: BatchedInformedSet,
+    pub(crate) completion_round: Vec<Option<usize>>,
+    pub(crate) almost_round: Vec<Option<usize>>,
+    pub(crate) curve: BatchCurve,
+}
+
+impl FrontierBatch {
+    /// The batch a round loop leaves behind: `informed` is the set its
+    /// counts tracked.
+    pub(crate) fn from_rounds(
+        horizon: usize,
+        informed: BatchedInformedSet,
+        crossings: Crossings,
+        log: RoundLog,
+    ) -> Self {
+        let executed = log.executed;
+        FrontierBatch {
+            n: informed.n(),
+            horizon,
+            informed,
+            completion_round: crossings.completion,
+            almost_round: crossings.almost,
+            curve: BatchCurve::Rounds {
+                plane_width: log.plane_width,
+                count_arena: log.arena,
+                end: log.end.iter().map(|e| e.unwrap_or(executed)).collect(),
+            },
+        }
+    }
+
+    /// Number of nodes in the graph.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Lane `k`'s completion round (`None` if that trial never
+    /// completed).
+    #[must_use]
+    pub fn completion_round(&self, lane: u32) -> Option<usize> {
+        self.completion_round[lane as usize]
+    }
+
+    /// Lane `k`'s first round with an almost-complete (`≥ n − 1`)
+    /// informed set.
+    #[must_use]
+    pub fn almost_complete_round(&self, lane: u32) -> Option<usize> {
+        self.almost_round[lane as usize]
+    }
+
+    /// Lane `k`'s final informed count.
+    #[must_use]
+    pub fn informed_count(&self, lane: u32) -> usize {
+        self.informed.count(lane)
+    }
+
+    /// Lane `k`'s final informed fraction.
+    #[must_use]
+    pub fn informed_fraction(&self, lane: u32) -> f64 {
+        self.informed.count(lane) as f64 / self.n as f64
+    }
+
+    /// Reconstructs lane `k`'s full scalar outcome — equal to the
+    /// kernel's lane replay with the same block seed and lane.
+    #[must_use]
+    pub fn lane_outcome(&self, lane: u32) -> FrontierOutcome {
+        let mut informed = InformedSet::new(self.n);
+        for v in 0..self.n as u32 {
+            if self.informed.lane_contains(v, lane) {
+                informed.insert(v);
+            }
+        }
+        let informed_by_round =
+            match &self.curve {
+                BatchCurve::Rounds {
+                    plane_width: w,
+                    count_arena,
+                    end,
+                } => std::iter::once(1)
+                    .chain((0..end[lane as usize]).map(|r| {
+                        LaneCounter::get_in(&count_arena[r * w..(r + 1) * w], lane) as usize
+                    }))
+                    .collect(),
+                BatchCurve::Schedule {
+                    s_width: w,
+                    s_planes,
+                    max_round,
+                    unfinished,
+                } => {
+                    // Counting sort of the lane's inform rounds: every
+                    // informed node's round is ≤ the lane's last executed
+                    // round, so the prefix sums are the growth curve.
+                    let last = if unfinished >> lane & 1 == 1 {
+                        self.horizon
+                    } else {
+                        LaneCounter::get_in(max_round, lane) as usize
+                    };
+                    let mut curve = vec![0usize; last + 1];
+                    for v in 0..self.n {
+                        let s = LaneCounter::get_in(&s_planes[v * w..(v + 1) * w], lane) as usize;
+                        if s <= last {
+                            curve[s] += 1;
+                        }
+                    }
+                    for r in 1..=last {
+                        curve[r] += curve[r - 1];
+                    }
+                    curve
+                }
+            };
+        FrontierOutcome {
+            n: self.n,
+            horizon: self.horizon,
+            completion_round: self.completion_round[lane as usize],
+            informed_by_round,
+            informed,
+        }
+    }
+}
+
 /// Per-lane popcounts over a slice of lane masks: `out[k]` is the
 /// number of masks with bit `k` set. Runs as 64×64 bit-matrix
 /// transposes plus one hardware popcount per lane — ~7 word ops per
@@ -1158,40 +1443,6 @@ pub fn planes_eq_mask(planes: &[u64], k: u64) -> LaneMask {
     eq
 }
 
-/// Both [`planes_le_mask`]`(planes, k_lo)` and
-/// [`planes_le_mask`]`(planes, k_hi)` in one scan over the planes
-/// (`k_lo ≤ k_hi`). Batched engines use this for the paired
-/// "eligible before the horizon" / "safe from the horizon for a while"
-/// thresholds drawn from the same value.
-#[must_use]
-pub fn planes_le2_mask(planes: &[u64], k_lo: u64, k_hi: u64) -> (LaneMask, LaneMask) {
-    debug_assert!(k_lo <= k_hi);
-    if planes.len() < 64 && k_lo >> planes.len() != 0 {
-        return (!0, !0);
-    }
-    if planes.len() < 64 && k_hi >> planes.len() != 0 {
-        return (planes_le_mask(planes, k_lo), !0);
-    }
-    let mut gt_lo = 0u64;
-    let mut und_lo = !0u64;
-    let mut gt_hi = 0u64;
-    let mut und_hi = !0u64;
-    for (i, &pl) in planes.iter().enumerate().rev() {
-        let (lo_bit, hi_bit) = if i < 64 {
-            (k_lo >> i & 1, k_hi >> i & 1)
-        } else {
-            (0, 0)
-        };
-        let lb = 0u64.wrapping_sub(lo_bit);
-        let hb = 0u64.wrapping_sub(hi_bit);
-        gt_lo |= und_lo & pl & !lb;
-        und_lo &= !(pl ^ lb);
-        gt_hi |= und_hi & pl & !hb;
-        und_hi &= !(pl ^ hb);
-    }
-    (!gt_lo, !gt_hi)
-}
-
 /// The mask of lanes where `a`'s bit-plane value exceeds `b`'s. The two
 /// slices must have equal width.
 #[must_use]
@@ -1213,21 +1464,6 @@ pub fn planes_assign(dst: &mut [u64], src: &[u64], m: LaneMask) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = (*d & !m) | (s & m);
     }
-}
-
-/// Sets `dst`'s value to `base + c` in every lane of `m` (bit-plane
-/// form, equal widths); other lanes of `dst` are untouched. The sum
-/// must fit the plane width for every selected lane.
-pub fn planes_add_const(dst: &mut [u64], base: &[u64], c: u64, m: LaneMask) {
-    debug_assert_eq!(dst.len(), base.len());
-    let mut carry = 0u64;
-    for (i, (d, &a)) in dst.iter_mut().zip(base).enumerate() {
-        let cb = 0u64.wrapping_sub(if i < 64 { c >> i & 1 } else { 0 });
-        let sum = a ^ cb ^ carry;
-        *d = (*d & !m) | (sum & m);
-        carry = (a & cb) | (a & carry) | (cb & carry);
-    }
-    debug_assert_eq!(carry & m, 0, "bit-plane addition overflowed");
 }
 
 /// Sets `dst`'s value to `base + addend + 1` in every lane of `m` and
@@ -1348,21 +1584,6 @@ impl BatchedInformedSet {
     #[must_use]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Lane `k`'s set size inside the node range `start..end` — the
-    /// batched sibling of [`InformedSet::count_range`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is inverted or out of bounds.
-    #[must_use]
-    pub fn count_range(&self, lane: u32, start: u32, end: u32) -> usize {
-        assert!(start <= end, "inverted range");
-        self.masks[start as usize..end as usize]
-            .iter()
-            .filter(|&&m| m >> lane & 1 == 1)
-            .count()
     }
 }
 
@@ -1861,50 +2082,14 @@ mod tests {
     }
 
     #[test]
-    fn count_range_sums_to_the_total_over_any_partition() {
-        let mut s = InformedSet::new(300);
-        for v in [0u32, 1, 63, 64, 65, 128, 199, 200, 255, 299] {
-            s.insert(v);
-        }
-        for bounds in [
-            vec![0u32, 300],
-            vec![0, 100, 200, 300],
-            vec![0, 7, 64, 65, 130, 300],
-        ] {
-            let total: usize = bounds.windows(2).map(|w| s.count_range(w[0], w[1])).sum();
-            assert_eq!(total, s.count(), "bounds {bounds:?}");
-        }
-        assert_eq!(s.count_range(0, 0), 0);
-        assert_eq!(s.count_range(64, 66), 2);
-        assert_eq!(s.count_range(65, 128), 1);
-        // Batched sibling: lane-sliced range counts partition the same way.
-        let mut b = BatchedInformedSet::new(300);
-        b.insert_masked(3, 0b101);
-        b.insert_masked(299, 0b001);
-        assert_eq!(b.count_range(0, 0, 300), 2);
-        assert_eq!(b.count_range(2, 0, 300), 1);
-        assert_eq!(b.count_range(0, 4, 300), 1);
-        assert_eq!(b.count_range(1, 0, 300), 0);
-    }
-
-    #[test]
     fn shard_frontier_routes_and_refills() {
         let mut cur = ShardFrontier::new(3);
-        let mut nxt = ShardFrontier::new(3);
         assert!(cur.is_empty());
         cur.push(0, 5);
         cur.push(2, 9);
         cur.push(2, 11);
         assert_eq!(cur.total_len(), 3);
         assert_eq!(cur.shard(2), &[9, 11]);
-        nxt.push(1, 7);
-        nxt.push(1, 8);
-        cur.refill_from(&mut nxt, 1, |v| v != 7);
-        assert_eq!(cur.shard(1), &[8]);
-        assert!(nxt.shard(1).is_empty(), "staged list drained");
-        // Refilling from an empty staged shard clears the target list.
-        cur.refill_from(&mut nxt, 2, |_| true);
-        assert!(cur.shard(2).is_empty());
         cur.clear();
         assert!(cur.is_empty());
     }
@@ -1981,29 +2166,6 @@ mod tests {
             assert_eq!(out, want, "threads {threads}");
         }
         assert!(range_passes(Vec::<u8>::new(), 4, |_, x| x).is_empty());
-    }
-
-    #[test]
-    fn add_counter_matches_per_lane_scalar_addition() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        use rand::Rng;
-        for _ in 0..50 {
-            let a_counts: [u32; LANES] = std::array::from_fn(|_| rng.gen_range(0..500));
-            let b_counts: [u32; LANES] = std::array::from_fn(|_| rng.gen_range(0..500));
-            let mut a = LaneCounter::from_counts(&a_counts);
-            let b = LaneCounter::from_counts(&b_counts);
-            a.add_counter(&b);
-            for lane in 0..LANES as u32 {
-                assert_eq!(
-                    a.get(lane),
-                    u64::from(a_counts[lane as usize]) + u64::from(b_counts[lane as usize])
-                );
-            }
-        }
-        // Adding an empty counter is the identity.
-        let mut c = LaneCounter::from_counts(&[3u32; LANES]);
-        c.add_counter(&LaneCounter::new());
-        assert_eq!(c.get(0), 3);
     }
 
     #[test]
@@ -2133,15 +2295,6 @@ mod tests {
         let mut heard = Vec::new();
         c.drain_sole_receivers(|v| heard.push(v));
         assert!(heard.is_empty(), "255+ transmitters is still a collision");
-    }
-
-    #[test]
-    fn lane_mask_first_selects_a_prefix() {
-        assert_eq!(lane_mask_first(0), 0);
-        assert_eq!(lane_mask_first(1), 1);
-        assert_eq!(lane_mask_first(5), 0b11111);
-        assert_eq!(lane_mask_first(64), !0);
-        assert_eq!(lane_mask_first(1000), !0);
     }
 
     #[test]
@@ -2338,11 +2491,6 @@ mod tests {
                 assert_eq!(eq >> lane & 1 == 1, av == k, "k={k} lane={lane}");
             }
         }
-        for (lo, hi) in [(0u64, 5u64), (17, 42), (199, 255), (250, 300)] {
-            let (le_lo, le_hi) = planes_le2_mask(&pa, lo, hi);
-            assert_eq!(le_lo, planes_le_mask(&pa, lo), "lo={lo}");
-            assert_eq!(le_hi, planes_le_mask(&pa, hi), "hi={hi}");
-        }
 
         let m = 0xAAAA_5555_0F0F_F0F0u64;
         let mut dst = pb.clone();
@@ -2350,17 +2498,6 @@ mod tests {
         for lane in 0..64u32 {
             let expect = if m >> lane & 1 == 1 { a } else { b };
             assert_eq!(LaneCounter::get_in(&dst, lane), expect[lane as usize]);
-        }
-
-        let mut sum = pb.clone();
-        planes_add_const(&mut sum, &pa, 37, m);
-        for lane in 0..64u32 {
-            let expect = if m >> lane & 1 == 1 {
-                a[lane as usize] + 37
-            } else {
-                b[lane as usize]
-            };
-            assert_eq!(LaneCounter::get_in(&sum, lane), expect, "lane={lane}");
         }
 
         // base + addend + 1, with a narrower addend (top planes zero).

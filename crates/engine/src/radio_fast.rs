@@ -14,16 +14,16 @@
 //! [`kernel`](crate::kernel) substrate:
 //!
 //! * the informed set is a word-level
-//!   [`InformedSet`](crate::kernel::InformedSet) bitmask,
+//!   [`InformedSet`] bitmask,
 //! * adjacency is the flat `u32` CSR of a [`CsrGraph`] — the engine
 //!   builds no adjacency of its own,
 //! * per-round collision resolution is the
-//!   [`CollisionCounter`](crate::kernel::CollisionCounter): saturating
+//!   [`CollisionCounter`]: saturating
 //!   transmitter counts touched only at frontier neighborhoods (hear
 //!   iff the count is exactly one), so a round costs `O(m_frontier)`,
 //!   not `O(n + m)`,
 //! * omission faults are sampled by the aggregate
-//!   [`FaultSampler`](crate::kernel::FaultSampler) — one Bernoulli coin
+//!   [`FaultSampler`] — one Bernoulli coin
 //!   per participant, or a geometric skip between successful
 //!   transmitters when `p > 0.75`,
 //! * the run stops as soon as no informed node can ever inform anyone
@@ -44,24 +44,25 @@
 //! component and reports the informed *fraction* and the
 //! almost-complete (`1 − 1/n`) time.
 //!
-//! The tape-addressed lane and batch run one round loop,
-//! [`ShardedRadio`]'s, over a [`ShardStore`]: `FastRadio` owns its
-//! adjacency as an in-RAM store, and out-of-core runs read disk
-//! segments through the same loop.
+//! The tape-addressed lanes and batches run one round loop per trial
+//! width, [`ShardedRadio`]'s, over a [`ShardStore`]: `FastRadio` owns
+//! its adjacency as an in-RAM store, and out-of-core runs read disk
+//! segments through the same loops.
 //!
 //! Every entry point has a `*_model` sibling parametric in a
-//! [`FaultModel`](crate::kernel::FaultModel). `Silent` models (i.i.d.
-//! omission, throttled mixtures, worst-case placement) run the same
-//! frontier machinery with the model supplying the per-site corruption
-//! masks — the plain entry points are these drivers at the
-//! [`Omission`](crate::kernel::Omission) instance. Corrupted-*value* models (`Flip` /
-//! `Lie`, the paper's limited-malicious transmitters) change what a
-//! fault does: a corrupted transmitter still transmits — it collides
-//! like any other — but the *message* it delivers is corrupted, a
-//! sole receiver adopts whatever its one audible neighbor sent, and
-//! wrong values propagate. The `*_model` outcome then tracks the
-//! **correctly informed** nodes. Full-malicious radio (lie *or jam*)
-//! still needs the adversary hooks of the general engine.
+//! [`FaultModel`], and the loops read the
+//! model's coin at one point per transmission. A `Silent` coin (i.i.d.
+//! omission, throttled mixtures, worst-case placement) silences the
+//! transmitter — the plain entry points are these drivers at the
+//! [`Omission`] instance. A corrupted-*value*
+//! coin (`Flip` / `Lie`, the paper's limited-malicious transmitters)
+//! changes what a fault does: the corrupted transmitter still
+//! transmits — it collides like any other — but the *message* it
+//! delivers is corrupted, a sole receiver adopts whatever its one
+//! audible neighbor sent, and wrong values propagate. The `*_model`
+//! outcome then tracks the **correctly informed** nodes. Full-malicious
+//! radio (lie *or jam*) still needs the adversary hooks of the general
+//! engine.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -71,10 +72,18 @@ use randcast_graph::{CsrGraph, NodeId};
 use randcast_stats::seed::{splitmix64, SeedSequence};
 
 use crate::kernel::{
-    BatchTape, BatchedInformedSet, CollisionCounter, CorruptionKind, Crossings, FaultModel,
-    FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask, Omission, ShardedCollisions,
-    ShardedLaneCollisions, DECAY_STREAM, LANES,
+    deliver, BatchTape, BatchedInformedSet, CollisionCounter, CorruptionKind, Crossings,
+    FaultModel, FaultSampler, FaultTapes, FrontierBatch, FrontierOutcome, InformedSet, LaneMask,
+    Omission, RoundLog, ShardedCollisions, ShardedLaneCollisions, DECAY_STREAM, LANES,
 };
+
+/// Outcome of one fast-path radio broadcast (the kernels' shared
+/// [`FrontierOutcome`]).
+pub type FastRadioOutcome = FrontierOutcome;
+
+/// Outcome of one batched 64-lane radio block (the kernels' shared
+/// [`FrontierBatch`]).
+pub type FastRadioBatch = FrontierBatch;
 
 /// The coin site of `(0-based round, node)`: both the fault coin and
 /// the batched Decay participation coin of a node are per-round, so the
@@ -132,8 +141,8 @@ pub enum FastRadioSchedule {
 /// and horizon. The adjacency comes straight from the [`CsrGraph`]
 /// substrate and lives in an in-RAM [`ShardStore`] viewed along a
 /// node-range plan (one shard unless [`with_shards`](Self::with_shards)
-/// says otherwise); silent lanes and batches run the one round loop of
-/// [`ShardedRadio`] over it — the loop out-of-core runs use.
+/// says otherwise); lanes and batches of every fault model run the round
+/// loops of [`ShardedRadio`] over it — the loops out-of-core runs use.
 pub struct FastRadio {
     core: ShardedRadio,
 }
@@ -207,7 +216,7 @@ impl FastRadio {
     ///
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
-    pub fn run(&self, p: f64, seed: u64) -> FastRadioOutcome {
+    pub fn run(&self, p: f64, seed: u64) -> FrontierOutcome {
         let sampler = FaultSampler::new(p);
         let neighbors = self.neighbors();
         let (n, source, horizon) = (self.node_count(), self.core.source, self.core.horizon);
@@ -285,7 +294,7 @@ impl FastRadio {
             }
         }
 
-        FastRadioOutcome {
+        FrontierOutcome {
             n,
             horizon,
             completion_round,
@@ -303,13 +312,13 @@ impl FastRadio {
     /// sampled process is statistically identical; the site addressing
     /// is what lets [`run_batch`](Self::run_batch) reproduce this
     /// outcome *exactly*, lane for lane — see
-    /// [`FastRadioBatch::lane_outcome`].
+    /// [`FrontierBatch::lane_outcome`].
     ///
     /// # Panics
     ///
     /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
     #[must_use]
-    pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastRadioOutcome {
+    pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FrontierOutcome {
         self.core
             .run_lane(p, block_seed, lane)
             .expect("RAM views are infallible")
@@ -329,7 +338,7 @@ impl FastRadio {
     ///
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
-    pub fn run_batch(&self, p: f64, block_seed: u64) -> FastRadioBatch {
+    pub fn run_batch(&self, p: f64, block_seed: u64) -> FrontierBatch {
         self.core
             .run_batch(p, block_seed)
             .expect("RAM views are infallible")
@@ -343,12 +352,12 @@ impl FastRadio {
         model.preprocess_graph(neighbors.offsets(), neighbors.targets(), self.core.source);
     }
 
-    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
-    /// `Silent` models run the frontier replay (byte-identical to the
-    /// omission path for [`Omission`]); corrupted-value models
-    /// (`Flip` / `Lie`) run the value-tracking replay — a corrupted
-    /// transmitter still transmits and collides, but delivers a
-    /// corrupted message, and the outcome's informed set and growth
+    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`],
+    /// through [`ShardedRadio::run_lane_model`]. `Silent` models run the
+    /// frontier replay (byte-identical to the omission path for
+    /// [`Omission`]); under corrupted-value models (`Flip` / `Lie`) a
+    /// corrupted transmitter still transmits and collides, but delivers
+    /// a corrupted message, and the outcome's informed set and growth
     /// curve track the **correctly informed** nodes.
     ///
     /// # Panics
@@ -360,15 +369,10 @@ impl FastRadio {
         model: &M,
         block_seed: u64,
         lane: u32,
-    ) -> FastRadioOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        match model.kind() {
-            CorruptionKind::Silent => self
-                .core
-                .run_lane_model(model, block_seed, lane)
-                .expect("RAM views are infallible"),
-            _ => self.run_lane_values(model, block_seed, lane),
-        }
+    ) -> FrontierOutcome {
+        self.core
+            .run_lane_model(model, block_seed, lane)
+            .expect("RAM views are infallible")
     }
 
     /// [`run_batch`](Self::run_batch) under an arbitrary
@@ -381,308 +385,25 @@ impl FastRadio {
         &self,
         model: &M,
         block_seed: u64,
-    ) -> FastRadioBatch {
+    ) -> FrontierBatch {
         self.run_batch_threads(model, block_seed, 1)
     }
 
     /// [`run_batch_model`](Self::run_batch_model) with each round's
     /// collision drain fanned across up to `threads` workers, one
     /// listener shard each — byte-identical for every thread count
-    /// (see [`ShardedRadio::with_threads`]). Only silent models on a
-    /// multi-shard plan have anything to fan out.
+    /// (see [`ShardedRadio::with_threads`]). Only a multi-shard plan
+    /// has anything to fan out.
     #[must_use]
     pub fn run_batch_threads<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
         threads: usize,
-    ) -> FastRadioBatch {
-        match model.kind() {
-            CorruptionKind::Silent => self
-                .core
-                .batch(model, block_seed, threads)
-                .expect("RAM views are infallible"),
-            _ => self.run_batch_values(model, block_seed),
-        }
-    }
-
-    /// Corrupted-value scalar backend. Faults never silence: every
-    /// active node transmits, so the collision process is the
-    /// fault-free one and only message *values* are at stake. A sole
-    /// receiver adopts whatever its one audible neighbor sent — a
-    /// `Flip` transmitter sends its own value XOR the corruption coin,
-    /// a `Lie` transmitter sends the true value only when uncorrupted
-    /// and holding it — and retransmits that value in later epochs.
-    /// The returned informed set and growth curve track the correctly
-    /// informed nodes (the quantity the paper's malicious feasibility
-    /// results are about); participation and exhaustion bookkeeping
-    /// run on the heard set, exactly like the silent replay. The pass
-    /// reads per-node values only, so no shard plan can change it.
-    fn run_lane_values<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let neighbors = self.neighbors();
-        let (n, source, horizon) = (self.node_count(), self.core.source, self.core.horizon);
-        let mut heard = InformedSet::new(n);
-        heard.insert(source);
-        let mut val = vec![false; n];
-        val[source as usize] = true;
-        let mut correct = InformedSet::new(n);
-        correct.insert(source);
-        let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let has_unheard = |u: u32, heard: &InformedSet| {
-            neighbors
-                .neighbors_of(u as usize)
-                .iter()
-                .any(|&t| !heard.contains(t))
-        };
-        let mut participants: Vec<u32> = vec![source];
-        let mut active: Vec<u32> = Vec::new();
-        // Sole-receiver resolution carrying the first transmitter's
-        // value: `vonce[v]` is meaningful while `once[v]` is set.
-        let mut once = vec![false; n];
-        let mut twice = vec![false; n];
-        let mut vonce = vec![false; n];
-        let mut touched: Vec<u32> = Vec::new();
-        let (decay, epoch_len) = self.core.epochs();
-
-        for round in 1..=horizon {
-            if completion_round.is_some() {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                participants.retain(|&u| has_unheard(u, &heard));
-                if participants.is_empty() {
-                    break;
-                }
-                active.clear();
-                active.extend_from_slice(&participants);
-            }
-
-            for &u in &active {
-                let ui = u as usize;
-                // Coins are site-addressed pure functions, so skipping
-                // the draw for a transmission no listener can use
-                // leaves every other read untouched.
-                if !has_unheard(u, &heard) {
-                    continue;
-                }
-                let corrupt = model.corrupt_lane(&tapes, radio_site(r0, u), u, lane);
-                let txval = match model.kind() {
-                    CorruptionKind::Flip => val[ui] ^ corrupt,
-                    _ => val[ui] && !corrupt,
-                };
-                for &v in neighbors.neighbors_of(ui) {
-                    let vi = v as usize;
-                    if heard.contains(v) {
-                        continue;
-                    }
-                    if once[vi] {
-                        twice[vi] = true;
-                    } else {
-                        once[vi] = true;
-                        vonce[vi] = txval;
-                        touched.push(v);
-                    }
-                }
-            }
-            for &v in &touched {
-                let vi = v as usize;
-                if !twice[vi] {
-                    heard.insert(v);
-                    participants.push(v);
-                    val[vi] = vonce[vi];
-                    if val[vi] {
-                        correct.insert(v);
-                    }
-                }
-                once[vi] = false;
-                twice[vi] = false;
-            }
-            touched.clear();
-
-            informed_by_round.push(correct.count());
-            if correct.count() == n {
-                completion_round = Some(round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-            }
-        }
-
-        FastRadioOutcome {
-            n,
-            horizon,
-            completion_round,
-            informed_by_round,
-            informed: correct,
-        }
-    }
-
-    /// Corrupted-value 64-lane batch backend: the machinery of the
-    /// silent batch with the fault application moved from transmissions
-    /// to values — `useful` lanes all transmit, the `≥ 1` / `≥ 2`
-    /// collision masks gain a first-transmitter value mask, and a sole
-    /// receiver adopts that value. Counts, crossings, and the final
-    /// informed set track the correctly informed nodes; participation
-    /// and exhaustion run on the heard set.
-    fn run_batch_values<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-    ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let neighbors = self.neighbors();
-        let (n, source, horizon) = (self.node_count(), self.core.source, self.core.horizon);
-        let mut heard = BatchedInformedSet::new(n);
-        heard.insert_masked(source, !0);
-        let mut value_masks = vec![0u64; n];
-        value_masks[source as usize] = !0;
-        let mut correct_counts = LaneCounter::new();
-        correct_counts.add_masked(!0, 1);
-        let mut crossings = Crossings::new(n);
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-        let mut exhaustion = Exhaustion::new();
-
-        let mut plist: Vec<u32> = vec![source];
-        let mut in_plist = vec![false; n];
-        in_plist[source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let mut vonce: Vec<LaneMask> = vec![0; n];
-        let mut touched: Vec<u32> = Vec::new();
-        let (decay, epoch_len) = self.core.epochs();
-
-        for round in 1..=horizon {
-            let live = !(crossings.completed | exhaustion.lanes);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                let mut any: LaneMask = 0;
-                plist.retain(|&v| {
-                    let m = participation(&heard, v, neighbors.neighbors_of(v as usize));
-                    act[v as usize] = m;
-                    any |= m;
-                    if m == 0 {
-                        in_plist[v as usize] = false;
-                    }
-                    m != 0
-                });
-                if exhaustion.record(live, any, executed) {
-                    break;
-                }
-            }
-            executed += 1;
-
-            for &v in &plist {
-                let a = act[v as usize];
-                if a == 0 {
-                    continue;
-                }
-                let row = neighbors.neighbors_of(v as usize);
-                let useful = a & unheard_lanes(&heard, row, a);
-                if useful == 0 {
-                    continue;
-                }
-                // Every useful lane transmits; the coin corrupts the
-                // delivered value instead of the delivery.
-                let corrupt = model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
-                let txval = match model.kind() {
-                    CorruptionKind::Flip => (value_masks[v as usize] ^ corrupt) & useful,
-                    _ => value_masks[v as usize] & !corrupt & useful,
-                };
-                for &t in row {
-                    let ti = t as usize;
-                    let need = useful & !heard.lanes(t);
-                    if need == 0 {
-                        continue;
-                    }
-                    if once[ti] | twice[ti] == 0 {
-                        touched.push(t);
-                    }
-                    // Lanes where `v` is the first transmitter at `t`
-                    // record `v`'s value; a second transmitter marks
-                    // the collision and the value is moot.
-                    let first = need & !once[ti];
-                    vonce[ti] |= txval & first;
-                    twice[ti] |= once[ti] & need;
-                    once[ti] |= need;
-                }
-            }
-
-            let mut changed = false;
-            for &t in &touched {
-                let ti = t as usize;
-                let hear = once[ti] & !twice[ti];
-                once[ti] = 0;
-                twice[ti] = 0;
-                let adopted = vonce[ti] & hear;
-                vonce[ti] = 0;
-                if hear == 0 {
-                    continue;
-                }
-                let newly = heard.insert_masked(t, hear);
-                if newly != 0 {
-                    changed = true;
-                    value_masks[ti] |= adopted & newly;
-                    correct_counts.add_masked(adopted & newly, 1);
-                    if !in_plist[ti] {
-                        in_plist[ti] = true;
-                        act[ti] = 0;
-                        plist.push(t);
-                    }
-                }
-            }
-            touched.clear();
-
-            count_arena.extend_from_slice(correct_counts.planes());
-            count_arena.resize(executed * plane_width, 0);
-            if changed {
-                crossings.record(&correct_counts, round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                for &v in &plist {
-                    let vi = v as usize;
-                    if act[vi] != 0 {
-                        act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                    }
-                }
-            }
-        }
-
-        FastRadioBatch {
-            n,
-            horizon,
-            informed: BatchedInformedSet::from_parts(value_masks, correct_counts),
-            completion_round: crossings.completion,
-            almost_round: crossings.almost,
-            exhausted: exhaustion.lanes,
-            exhaust_end: exhaustion.end,
-            plane_width,
-            count_arena,
-            executed,
-        }
+    ) -> FrontierBatch {
+        self.core
+            .batch(model, block_seed, threads)
+            .expect("RAM views are infallible")
     }
 }
 
@@ -708,39 +429,8 @@ fn unheard_lanes(informed: &BatchedInformedSet, row: &[u32], want: LaneMask) -> 
     un
 }
 
-/// Lanes whose replay broke at an epoch boundary with no participants
-/// left, and the number of rounds each had executed.
-struct Exhaustion {
-    lanes: LaneMask,
-    end: Vec<usize>,
-}
-
-impl Exhaustion {
-    fn new() -> Self {
-        Exhaustion {
-            lanes: 0,
-            end: vec![0; LANES],
-        }
-    }
-
-    /// Retires the `live` lanes outside this boundary's participation
-    /// union `any` after `executed` rounds — exactly where the scalar
-    /// replay breaks, *before* executing the round. Returns whether no
-    /// live lane is left.
-    fn record(&mut self, live: LaneMask, any: LaneMask, executed: usize) -> bool {
-        let newly = live & !any;
-        let mut bits = newly;
-        while bits != 0 {
-            self.end[bits.trailing_zeros() as usize] = executed;
-            bits &= bits - 1;
-        }
-        self.lanes |= newly;
-        live & any == 0
-    }
-}
-
-/// Radio broadcasting over a [`ShardStore`]: the one silent round loop
-/// behind both [`FastRadio`]'s lanes and batches (a RAM store) and
+/// Radio broadcasting over a [`ShardStore`]: the round loops behind
+/// both [`FastRadio`]'s lanes and batches (a RAM store) and
 /// out-of-core runs, loading one shard's CSR rows at a time so peak RSS
 /// stays near one shard plus the node-level state — the `n = 10⁸`
 /// path. Outcomes are **bit-identical** to [`FastRadio::run_lane`] on
@@ -876,15 +566,17 @@ impl ShardedRadio {
         p: f64,
         block_seed: u64,
         lane: u32,
-    ) -> Result<FastRadioOutcome, ShardError> {
+    ) -> Result<FrontierOutcome, ShardError> {
         assert!((0.0..1.0).contains(&p), "failure probability out of range");
         self.run_lane_model(&Omission::new(p), block_seed, lane)
     }
 
-    /// [`run_lane`](Self::run_lane) under an arbitrary `Silent`
-    /// [`FaultModel`]: a corrupted transmission is silenced, everything
-    /// else is the omission algorithm (the [`Omission`] instance reads
-    /// exactly the omission coins). Run the model's preprocessing
+    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`]:
+    /// a `Silent` coin silences the transmitter (the [`Omission`]
+    /// instance reads exactly the omission coins); a `Flip` / `Lie` coin
+    /// lets it transmit and collide but rewrites the value it delivers,
+    /// and the outcome tracks the correctly informed nodes (see
+    /// [`FastRadio::run_lane_model`]). Run the model's preprocessing
     /// against the in-core CSR before sharding if the model needs
     /// placement.
     ///
@@ -895,20 +587,31 @@ impl ShardedRadio {
     ///
     /// # Panics
     ///
-    /// Panics if `lane ≥ 64` or the model is not `Silent` — the
-    /// corrupted-value radio pass carries per-node heard values and is
-    /// served in core (use [`FastRadio::run_lane_model`]).
+    /// Panics if `lane ≥ 64`.
     pub fn run_lane_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
         lane: u32,
-    ) -> Result<FastRadioOutcome, ShardError> {
+    ) -> Result<FrontierOutcome, ShardError> {
         assert!((lane as usize) < LANES, "lane out of range");
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core radio supports silent fault models only"
-        );
+        match model.kind() {
+            CorruptionKind::Silent => {
+                self.lane::<M, false>(model, CorruptionKind::Silent, block_seed, lane)
+            }
+            kind => self.lane::<M, true>(model, kind, block_seed, lane),
+        }
+    }
+
+    /// The lane round loop, monomorphized on whether the model corrupts
+    /// values (`VALUES`) or silences transmitters.
+    fn lane<M: FaultModel + ?Sized, const VALUES: bool>(
+        &self,
+        model: &M,
+        kind: CorruptionKind,
+        block_seed: u64,
+        lane: u32,
+    ) -> Result<FrontierOutcome, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
         let plan = self.store.plan();
@@ -917,6 +620,11 @@ impl ShardedRadio {
         let mut loader = PassLoader::new(&self.store, self.prefetch);
         let mut informed = InformedSet::new(n);
         informed.insert(self.source);
+        // Value models: the nodes that adopted the true value.
+        let mut correct = InformedSet::new(if VALUES { n } else { 0 });
+        if VALUES {
+            correct.insert(self.source);
+        }
         let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
@@ -966,25 +674,35 @@ impl ShardedRadio {
                 }
                 let view = loader.view_pass(s, act_list)?;
                 for &u in act_list {
-                    // The coin is an omission: `true` silences `u`.
-                    if model.corrupt_lane(&tapes, radio_site(r0, u), u, lane) {
+                    let corrupt = model.corrupt_lane(&tapes, radio_site(r0, u), u, lane);
+                    if !VALUES && corrupt {
                         continue;
                     }
+                    let value = VALUES
+                        && deliver(kind, u64::from(correct.contains(u)), u64::from(corrupt)) != 0;
                     for &v in view.targets_of(u) {
                         if !informed.contains(v) {
-                            counter.add(v);
+                            counter.add_value(v, value);
                         }
                     }
                 }
             }
-            counter.drain_sole_receivers(self.threads, |s, v| {
+            counter.drain_values(self.threads, |s, v, value| {
                 informed.insert(v);
+                if VALUES && value {
+                    correct.insert(v);
+                }
                 // Joins the transmitters at the next epoch start.
                 participants[s].push(v);
             });
 
-            informed_by_round.push(informed.count());
-            if informed.count() == n {
+            let count = if VALUES {
+                correct.count()
+            } else {
+                informed.count()
+            };
+            informed_by_round.push(count);
+            if count == n {
                 completion_round = Some(round);
             }
 
@@ -998,12 +716,12 @@ impl ShardedRadio {
             }
         }
 
-        Ok(FastRadioOutcome {
+        Ok(FrontierOutcome {
             n,
             horizon: self.horizon,
             completion_round,
             informed_by_round,
-            informed,
+            informed: if VALUES { correct } else { informed },
         })
     }
 
@@ -1021,46 +739,56 @@ impl ShardedRadio {
     /// # Panics
     ///
     /// Panics if `p ∉ [0, 1)`.
-    pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastRadioBatch, ShardError> {
+    pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FrontierBatch, ShardError> {
         assert!((0.0..1.0).contains(&p), "failure probability out of range");
         self.run_batch_model(&Omission::new(p), block_seed)
     }
 
-    /// [`run_batch`](Self::run_batch) under an arbitrary `Silent`
-    /// [`FaultModel`].
+    /// [`run_batch`](Self::run_batch) under an arbitrary
+    /// [`FaultModel`], with the coin rule of
+    /// [`run_lane_model`](Self::run_lane_model).
     ///
     /// # Errors
     ///
     /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
     /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not `Silent`.
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
-    ) -> Result<FastRadioBatch, ShardError> {
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core radio supports silent fault models only"
-        );
+    ) -> Result<FrontierBatch, ShardError> {
         self.batch(model, block_seed, self.threads)
     }
 
-    /// The batch round loop. A lane's replay stops executing rounds
-    /// once it completes or once an epoch boundary finds it without
-    /// participants; the batch keeps looping while *any* lane is live
-    /// and records each lane's stop round so per-lane growth curves cut
-    /// off exactly where the scalar replay's do. With `threads > 1` each
-    /// round's collision drain fans out over listener shards.
+    /// The batch round loop at `threads` drain workers, monomorphized
+    /// on the model's corruption kind like [`lane`](Self::lane).
     fn batch<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
         threads: usize,
-    ) -> Result<FastRadioBatch, ShardError> {
+    ) -> Result<FrontierBatch, ShardError> {
+        match model.kind() {
+            CorruptionKind::Silent => {
+                self.batch_loop::<M, false>(model, CorruptionKind::Silent, block_seed, threads)
+            }
+            kind => self.batch_loop::<M, true>(model, kind, block_seed, threads),
+        }
+    }
+
+    /// A lane's replay stops executing rounds once it completes or once
+    /// an epoch boundary finds it without participants; the batch keeps
+    /// looping while *any* lane is live and records each lane's stop
+    /// round so per-lane growth curves cut off exactly where the scalar
+    /// replay's do. With `threads > 1` each round's collision drain
+    /// fans out over listener shards.
+    fn batch_loop<M: FaultModel + ?Sized, const VALUES: bool>(
+        &self,
+        model: &M,
+        kind: CorruptionKind,
+        block_seed: u64,
+        threads: usize,
+    ) -> Result<FrontierBatch, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
         let plan = self.store.plan();
@@ -1069,13 +797,14 @@ impl ShardedRadio {
         let mut loader = PassLoader::new(&self.store, self.prefetch);
         let mut informed = BatchedInformedSet::new(n);
         informed.insert_masked(self.source, !0);
+        // Value models: the lanes in which each node adopted the truth.
+        let mut correct = BatchedInformedSet::new(if VALUES { n } else { 0 });
+        if VALUES {
+            correct.insert_masked(self.source, !0);
+        }
         let mut crossings = Crossings::new(n);
-
-        // Per-round snapshots of the count planes, in one flat arena.
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-        let mut exhaustion = Exhaustion::new();
+        let mut log = RoundLog::new(n);
+        log.retire(crossings.completed);
 
         // Union participant lists, per shard: nodes with a nonzero
         // per-lane participation mask in some lane. `act` is the
@@ -1090,11 +819,11 @@ impl ShardedRadio {
         let mut in_plist = vec![false; n];
         in_plist[self.source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
-        let mut collisions = ShardedLaneCollisions::new(plan.bounds());
+        let mut collisions = ShardedLaneCollisions::new(plan.bounds(), VALUES);
         let (decay, epoch_len) = self.epochs();
 
         for round in 1..=self.horizon {
-            let live = !(crossings.completed | exhaustion.lanes);
+            let live = !log.retired;
             if live == 0 {
                 break;
             }
@@ -1119,12 +848,13 @@ impl ShardedRadio {
                     });
                 }
                 // Exhaustion is a whole-round property: read it only
-                // after every shard's refilter has been folded in.
-                if exhaustion.record(live, any, executed) {
+                // after every shard's refilter has been folded in. The
+                // exhausted lanes stop before executing this round.
+                log.retire(live & !any);
+                if live & any == 0 {
                     break;
                 }
             }
-            executed += 1;
 
             loader.begin_rows_pass(|s| plist[s].len());
             for (s, list) in plist.iter().enumerate() {
@@ -1148,10 +878,16 @@ impl ShardedRadio {
                     if useful == 0 {
                         continue;
                     }
-                    let tx = useful & !model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
+                    let corrupt = model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
+                    let tx = if VALUES { useful } else { useful & !corrupt };
                     if tx == 0 {
                         continue;
                     }
+                    let value = if VALUES {
+                        deliver(kind, correct.lanes(v), corrupt)
+                    } else {
+                        0
+                    };
                     for &t in row {
                         // Restrict collision tracking to the lanes where
                         // `t` is still uninformed — the scalar replay's
@@ -1161,16 +897,24 @@ impl ShardedRadio {
                         // lane that counts identical.
                         let need = tx & !informed.lanes(t);
                         if need != 0 {
-                            collisions.add(t, need);
+                            if VALUES {
+                                collisions.add_value(t, need, value);
+                            } else {
+                                collisions.add(t, need);
+                            }
                         }
                     }
                 }
             }
 
             let mut changed = false;
-            collisions.drain(threads, |s, t, hear| {
-                if informed.insert_masked(t, hear) != 0 {
+            collisions.drain(threads, |s, t, hear, value| {
+                let newly = informed.insert_masked(t, hear);
+                if newly != 0 {
                     changed = true;
+                    if VALUES {
+                        correct.insert_masked(t, value & newly);
+                    }
                     let ti = t as usize;
                     if !in_plist[ti] {
                         in_plist[ti] = true;
@@ -1180,10 +924,15 @@ impl ShardedRadio {
                 }
             });
 
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
+            let counts = if VALUES {
+                correct.counts()
+            } else {
+                informed.counts()
+            };
+            log.push(counts);
             if changed {
-                crossings.record(informed.counts(), round);
+                crossings.record(counts, round);
+                log.retire(crossings.completed);
             }
 
             if decay && j + 1 < epoch_len {
@@ -1198,206 +947,13 @@ impl ShardedRadio {
             }
         }
 
-        Ok(FastRadioBatch {
-            n,
-            horizon: self.horizon,
+        let informed = if VALUES { correct } else { informed };
+        Ok(FrontierBatch::from_rounds(
+            self.horizon,
             informed,
-            completion_round: crossings.completion,
-            almost_round: crossings.almost,
-            exhausted: exhaustion.lanes,
-            exhaust_end: exhaustion.end,
-            plane_width,
-            count_arena,
-            executed,
-        })
-    }
-}
-
-/// Outcome of one batched 64-lane radio block; per-lane views are
-/// byte-identical to the corresponding [`FastRadio::run_lane`] replay.
-#[derive(Clone, PartialEq, Debug)]
-pub struct FastRadioBatch {
-    n: usize,
-    horizon: usize,
-    informed: BatchedInformedSet,
-    completion_round: Vec<Option<usize>>,
-    almost_round: Vec<Option<usize>>,
-    /// Lanes whose replay broke at an epoch boundary (participants
-    /// exhausted before the horizon).
-    exhausted: LaneMask,
-    /// Rounds executed by each exhausted lane before its break.
-    exhaust_end: Vec<usize>,
-    plane_width: usize,
-    /// `executed × plane_width` words: the per-lane informed counts
-    /// after each executed round.
-    count_arena: Vec<u64>,
-    executed: usize,
-}
-
-impl FastRadioBatch {
-    /// Number of nodes in the graph.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Lane `k`'s completion round (`None` if that trial never
-    /// completed).
-    #[must_use]
-    pub fn completion_round(&self, lane: u32) -> Option<usize> {
-        self.completion_round[lane as usize]
-    }
-
-    /// Lane `k`'s first round with an almost-complete (`≥ n − 1`)
-    /// informed set.
-    #[must_use]
-    pub fn almost_complete_round(&self, lane: u32) -> Option<usize> {
-        self.almost_round[lane as usize]
-    }
-
-    /// Lane `k`'s final informed count.
-    #[must_use]
-    pub fn informed_count(&self, lane: u32) -> usize {
-        self.informed.count(lane)
-    }
-
-    /// Lane `k`'s final informed fraction.
-    #[must_use]
-    pub fn informed_fraction(&self, lane: u32) -> f64 {
-        self.informed.count(lane) as f64 / self.n as f64
-    }
-
-    /// The number of rounds lane `k`'s replay executed before stopping
-    /// (completion, participant exhaustion, or the horizon).
-    fn lane_end(&self, lane: u32) -> usize {
-        if let Some(c) = self.completion_round[lane as usize] {
-            c
-        } else if self.exhausted >> lane & 1 == 1 {
-            self.exhaust_end[lane as usize]
-        } else {
-            self.executed
-        }
-    }
-
-    /// Reconstructs lane `k`'s full scalar outcome — equal to
-    /// [`FastRadio::run_lane`] with the same block seed and lane.
-    #[must_use]
-    pub fn lane_outcome(&self, lane: u32) -> FastRadioOutcome {
-        let mut informed = InformedSet::new(self.n);
-        for v in 0..self.n as u32 {
-            if self.informed.lane_contains(v, lane) {
-                informed.insert(v);
-            }
-        }
-        let end = self.lane_end(lane);
-        let mut informed_by_round = Vec::with_capacity(end + 1);
-        informed_by_round.push(1);
-        for r in 0..end {
-            let planes = &self.count_arena[r * self.plane_width..(r + 1) * self.plane_width];
-            informed_by_round.push(LaneCounter::get_in(planes, lane) as usize);
-        }
-        FastRadioOutcome {
-            n: self.n,
-            horizon: self.horizon,
-            completion_round: self.completion_round[lane as usize],
-            informed_by_round,
-            informed,
-        }
-    }
-}
-
-/// Outcome of one fast-path radio broadcast: the informed set, its
-/// growth curve, and derived completion metrics.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FastRadioOutcome {
-    n: usize,
-    horizon: usize,
-    informed: InformedSet,
-    completion_round: Option<usize>,
-    /// `informed_by_round[r]` = nodes informed by the end of round `r`
-    /// (`[0] == 1`, the source). The run stops early once nothing can
-    /// change, so the vector may be shorter than `horizon + 1`; counts
-    /// are constant from its last entry onward.
-    informed_by_round: Vec<usize>,
-}
-
-impl FastRadioOutcome {
-    /// Number of nodes in the graph.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The horizon the plan was allowed to run.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Whether every node (not just the source's component) was
-    /// informed within the horizon.
-    #[must_use]
-    pub fn complete(&self) -> bool {
-        self.completion_round.is_some()
-    }
-
-    /// The round by which the last node was informed, `None` if the
-    /// broadcast never completed (too few rounds, or the graph is
-    /// disconnected from the source).
-    #[must_use]
-    pub fn completion_round(&self) -> Option<usize> {
-        self.completion_round
-    }
-
-    /// Number of informed nodes at the end of the run.
-    #[must_use]
-    pub fn informed_count(&self) -> usize {
-        self.informed.count()
-    }
-
-    /// Informed fraction `informed / n` at the end of the run.
-    #[must_use]
-    pub fn informed_fraction(&self) -> f64 {
-        self.informed.count() as f64 / self.n as f64
-    }
-
-    /// Whether node `v` ended the run informed.
-    #[must_use]
-    pub fn is_informed(&self, v: NodeId) -> bool {
-        self.informed.contains(u32::from(v))
-    }
-
-    /// The per-round cumulative informed counts (see the field docs).
-    #[must_use]
-    pub fn informed_by_round(&self) -> &[usize] {
-        &self.informed_by_round
-    }
-
-    /// The first round by which at least `count` nodes were informed.
-    #[must_use]
-    pub fn round_reaching(&self, count: usize) -> Option<usize> {
-        self.informed_by_round.iter().position(|&c| c >= count)
-    }
-
-    /// The first round by which an *almost-complete* set — at least
-    /// `⌈(1 − 1/n)·n⌉ = n − 1` nodes — was informed; the metric of the
-    /// rapid almost-complete broadcasting regime.
-    #[must_use]
-    pub fn almost_complete_round(&self) -> Option<usize> {
-        self.round_reaching(self.n.saturating_sub(1).max(1))
-    }
-
-    /// The first round by which at least `frac · n` nodes (rounded up)
-    /// were informed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac ∉ [0, 1]`.
-    #[must_use]
-    pub fn time_to_fraction(&self, frac: f64) -> Option<usize> {
-        assert!((0.0..=1.0).contains(&frac), "fraction out of range");
-        let target = (frac * self.n as f64).ceil() as usize;
-        self.round_reaching(target.max(1))
+            crossings,
+            log,
+        ))
     }
 }
 

@@ -23,7 +23,7 @@
 //! [`FastSimple`] draws exactly that: one uniform per internal node of
 //! the BFS spanning tree, in the paper's `v1..vn` enumeration order,
 //! mapped through the inverse geometric CDF by the shared
-//! [`FaultSampler`](crate::kernel::FaultSampler). A node ends *correct*
+//! [`FaultSampler`]. A node ends *correct*
 //! iff its whole ancestor chain relayed successfully. The outcome
 //! distribution (correct set, success indicator) is exactly that of
 //! `SimplePlan` under the silent omission adversary in either model —
@@ -35,10 +35,11 @@
 //! fixed seed **shrinks monotonically in `p`** — a coupling the
 //! property tests exploit.
 //!
-//! The tape-addressed lane and batch run one phase walk,
-//! [`ShardedSimple`]'s, over a [`ShardStore`] of the tree's child lists:
-//! `FastSimple` owns them as an in-RAM store, and out-of-core runs read
-//! directed disk segments through the same walk.
+//! The tape-addressed lanes and batches — omission and `*_model`
+//! alike — run one phase walk, [`ShardedSimple`]'s, over a
+//! [`ShardStore`] of the tree's child lists: `FastSimple` owns them as
+//! an in-RAM store, and out-of-core runs read directed disk segments
+//! through the same walk.
 //!
 //! The `*_model` entry points generalize the same collapse to any
 //! [`FaultModel`]: a malicious parent still owns its phase exclusively,
@@ -103,8 +104,9 @@ fn vote_site(t: usize, v: u32) -> u64 {
 /// source component (from [`CsrGraph::bfs_tree`]) plus the phase length
 /// `m`. The child lists live in an in-RAM [`ShardStore`] viewed along a
 /// node-range plan (one shard unless [`with_shards`](Self::with_shards)
-/// says otherwise), and the omission lane and batch run the one phase
-/// walk of [`ShardedSimple`] over it — the walk out-of-core runs use.
+/// says otherwise), and every lane and batch — omission and `*_model`
+/// alike — runs the one phase walk of [`ShardedSimple`] over it, the
+/// walk out-of-core runs use.
 pub struct FastSimple {
     core: ShardedSimple,
 }
@@ -235,8 +237,9 @@ impl FastSimple {
     /// Scalar replay of lane `lane` of batched block `block_seed`: the
     /// same per-internal-node resolution as [`run`](Self::run), but the
     /// phase draw is lane `lane` of the site-addressed batch tape (site
-    /// = phase index) instead of a draw from a sequential RNG — see
-    /// [`phase_t`] for the two-stage coupling. The sampled process is
+    /// = phase index) instead of a draw from a sequential RNG; one
+    /// 53-bit uniform couples the adoption coin to the first working
+    /// transmission. The sampled process is
     /// statistically identical to [`run`](Self::run), and the site
     /// addressing is what lets [`run_batch`](Self::run_batch) reproduce
     /// this outcome *exactly*, lane for lane — see
@@ -283,89 +286,9 @@ impl FastSimple {
         );
     }
 
-    /// Resolves one phase of parent `u` for all 64 lanes at once:
-    /// counts the corrupt transmissions of the phase into `k` (one
-    /// model coin per round, at site `(t << 32) | u`, shared by the
-    /// whole sibling set — the trait engines draw one fault coin per
-    /// transmitter per round) and applies the child-side rule of the
-    /// model's [`CorruptionKind`]. Returns the `(informed, correct)`
-    /// child masks given parent-informed lanes `act` and
-    /// parent-correct lanes `val`:
-    ///
-    /// * `Silent` — the child hears iff some transmission survives, and
-    ///   inherits the parent's value (omission semantics on arbitrary,
-    ///   e.g. placed, fault sites);
-    /// * `Flip` — all `m` bits arrive, `k` of them inverted; the
-    ///   majority vote keeps a true parent's value iff `k < m − ⌊m/2⌋`
-    ///   and fabricates truth from a false parent iff `k ≥ ⌊m/2⌋ + 1`
-    ///   (Theorem 2.3's opposite-behavior adversary);
-    /// * `Lie` — corrupt rounds deliver the constant lie `false`, so
-    ///   only a true parent with `k < m − ⌊m/2⌋` convinces the vote
-    ///   (Theorem 2.4's radio adversary under the limited clamp).
-    fn resolve_phase_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        k: &mut LaneCounter,
-        u: u32,
-        act: LaneMask,
-        val: LaneMask,
-    ) -> (LaneMask, LaneMask) {
-        let m = self.core.m;
-        k.clear();
-        for t in 0..m {
-            k.add_masked(model.corrupt_mask(tapes, vote_site(t, u), u, act), 1);
-        }
-        let hi = (m - m / 2) as u64;
-        match model.kind() {
-            CorruptionKind::Silent => {
-                let heard = act & !k.ge_mask(m as u64);
-                (heard, val & heard)
-            }
-            CorruptionKind::Flip => {
-                let lo = (m / 2 + 1) as u64;
-                (act, (val & !k.ge_mask(hi)) | (act & !val & k.ge_mask(lo)))
-            }
-            CorruptionKind::Lie => (act, val & !k.ge_mask(hi)),
-        }
-    }
-
-    /// The round at which the children of `order[phase]` settle in lane
-    /// `lane`: a majority vote needs the whole phase, while `Silent`
-    /// corruption adopts at the first clean transmission. The coins are
-    /// pure functions of (site, lane), so this lazy re-read is exact.
-    fn model_round<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        phase: usize,
-        lane: u32,
-    ) -> usize {
-        let m = self.core.m;
-        match model.kind() {
-            CorruptionKind::Silent => {
-                let u = self.core.order[phase];
-                let t = (0..m)
-                    .find(|&t| !model.corrupt_lane(tapes, vote_site(t, u), u, lane))
-                    .expect("an adopting phase has a clean transmission");
-                phase * m + t + 1
-            }
-            _ => (phase + 1) * m,
-        }
-    }
-
     /// Scalar replay of lane `lane` of batched block `block_seed` under
-    /// an arbitrary [`FaultModel`] — see
-    /// [`resolve_phase_model`](Self::resolve_phase_model) for the vote
-    /// rules. I.i.d. `Silent` instances delegate to
-    /// [`run_lane`](Self::run_lane) and stay byte-identical with the
-    /// omission kernel. The model walk reads per-node values only, so
-    /// the shard plan cannot move it.
-    ///
-    /// The outcome's `correct` set holds the nodes whose final value is
-    /// the source bit: under malicious corruption a node can be
-    /// informed yet *wrong*, and only correct nodes count toward
-    /// completion and the almost-complete crossing.
+    /// an arbitrary [`FaultModel`], through
+    /// [`ShardedSimple::run_lane_model`] (which states the vote rules).
     ///
     /// # Panics
     ///
@@ -377,134 +300,24 @@ impl FastSimple {
         block_seed: u64,
         lane: u32,
     ) -> FastSimpleOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_lane(p, block_seed, lane);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let children = self.children();
-        let bit: LaneMask = 1u64 << lane;
-        let mut k = LaneCounter::new();
-        let n = self.core.n;
-        let mut informed = InformedSet::new(n);
-        let mut correct = InformedSet::new(n);
-        informed.insert(self.core.source);
-        correct.insert(self.core.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        for (phase, &u) in self.core.order.iter().enumerate() {
-            let kids = children.neighbors_of(u as usize);
-            if kids.is_empty() || !informed.contains(u) {
-                continue;
-            }
-            let val = if correct.contains(u) { bit } else { 0 };
-            let (inf_eff, val_eff) = self.resolve_phase_model(model, &tapes, &mut k, u, bit, val);
-            if inf_eff == 0 {
-                continue;
-            }
-            for &c in kids {
-                informed.insert(c);
-                if val_eff != 0 {
-                    correct.insert(c);
-                }
-            }
-            if val_eff != 0 {
-                let round = self.model_round(model, &tapes, phase, lane);
-                last_adoption = round;
-                if almost_round.is_none() && correct.count() >= almost_target {
-                    almost_round = Some(round);
-                }
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.core.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
+        self.core
+            .run_lane_model(model, block_seed, lane)
+            .expect("RAM views are infallible")
     }
 
     /// Runs all 64 trial lanes of block `block_seed` under an arbitrary
-    /// [`FaultModel`]: per phase, one bit-sliced corruption count over
-    /// the `m` transmission coins resolves every lane's majority vote
-    /// at once. Lane `k` of the result is byte-identical to
-    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`;
-    /// i.i.d. `Silent` instances delegate to
-    /// [`run_batch`](Self::run_batch).
+    /// [`FaultModel`] through [`ShardedSimple::run_batch_model`]. Lane
+    /// `k` of the result is byte-identical to
+    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`.
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
     ) -> FastSimpleBatch {
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_batch(p, block_seed);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let children = self.children();
-        let n = self.core.n;
-        let mut informed_masks: Vec<LaneMask> = vec![0; n];
-        let mut value_masks: Vec<LaneMask> = vec![0; n];
-        informed_masks[self.core.source as usize] = !0;
-        value_masks[self.core.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let mut almost = AlmostCrossing::new(n);
-        let mut last = LastPhase::new();
-        let mut k = LaneCounter::new();
-
-        for (phase, &u) in self.core.order.iter().enumerate() {
-            let kids = children.neighbors_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let act = informed_masks[u as usize];
-            if act == 0 {
-                continue;
-            }
-            let val = value_masks[u as usize];
-            let (inf_eff, val_eff) = self.resolve_phase_model(model, &tapes, &mut k, u, act, val);
-            if inf_eff == 0 {
-                continue;
-            }
-            for &c in kids {
-                informed_masks[c as usize] = inf_eff;
-                value_masks[c as usize] = val_eff;
-            }
-            counts.add_masked(val_eff, kids.len() as u64);
-            last.record(val_eff, phase);
-            almost.record(&counts, phase);
-        }
-
-        let (adopted, last_phase) = last.finish();
-        let mut last_adoption = vec![0usize; LANES];
-        let mut almost_round = almost.rounds;
-        for lane in 0..LANES as u32 {
-            let li = lane as usize;
-            if adopted >> lane & 1 == 1 {
-                last_adoption[li] = self.model_round(model, &tapes, last_phase[li] as usize, lane);
-            }
-            if almost.done >> lane & 1 == 1 && almost_round[li].is_none() {
-                almost_round[li] =
-                    Some(self.model_round(model, &tapes, almost.phase[li] as usize, lane));
-            }
-        }
-
-        FastSimpleBatch {
-            n,
-            m: self.core.m,
-            correct: BatchedInformedSet::from_parts(value_masks, counts),
-            almost_round,
-            last_adoption,
-        }
+        self.core
+            .run_batch_model(model, block_seed)
+            .expect("RAM views are infallible")
     }
 }
 
@@ -595,7 +408,7 @@ impl LastPhase {
 
 /// Simple broadcasting over a [`ShardStore`] holding the BFS tree's
 /// **child lists** — the one phase walk behind both [`FastSimple`]'s
-/// omission lane and batch (a RAM store) and out-of-core runs (directed
+/// lanes and batches (a RAM store) and out-of-core runs (directed
 /// disk segments built by `randcast_graph::shard::ShardedBfsTree`
 /// without ever materializing the monolithic tree). The walk follows
 /// the (level, id)-sorted phase order in maximal same-shard runs; it is
@@ -840,6 +653,231 @@ impl ShardedSimple {
             n,
             m,
             correct: BatchedInformedSet::from_parts(correct_masks, counts),
+            almost_round,
+            last_adoption,
+        })
+    }
+
+    /// Resolves one phase of parent `u` for all 64 lanes at once:
+    /// counts the corrupt transmissions of the phase into `k` (one
+    /// model coin per round, shared by the whole sibling set) and
+    /// applies the child-side rule of `kind`. Returns the
+    /// `(informed, correct)` child masks given parent-informed lanes
+    /// `act` and parent-correct lanes `val`.
+    fn resolve_phase<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        tapes: &FaultTapes,
+        k: &mut LaneCounter,
+        u: u32,
+        act: LaneMask,
+        val: LaneMask,
+    ) -> (LaneMask, LaneMask) {
+        let m = self.m;
+        k.clear();
+        for t in 0..m {
+            k.add_masked(model.corrupt_mask(tapes, vote_site(t, u), u, act), 1);
+        }
+        let hi = (m - m / 2) as u64;
+        match model.kind() {
+            CorruptionKind::Silent => {
+                let heard = act & !k.ge_mask(m as u64);
+                (heard, val & heard)
+            }
+            CorruptionKind::Flip => {
+                let lo = (m / 2 + 1) as u64;
+                (act, (val & !k.ge_mask(hi)) | (act & !val & k.ge_mask(lo)))
+            }
+            CorruptionKind::Lie => (act, val & !k.ge_mask(hi)),
+        }
+    }
+
+    /// The round at which the children of `order[phase]` settle in lane
+    /// `lane`: a majority vote needs the whole phase, while `Silent`
+    /// corruption adopts at the first clean transmission. The coins are
+    /// pure functions of (site, lane), so this lazy re-read is exact.
+    fn model_round<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        tapes: &FaultTapes,
+        phase: usize,
+        lane: u32,
+    ) -> usize {
+        let m = self.m;
+        match model.kind() {
+            CorruptionKind::Silent => {
+                let u = self.order[phase];
+                let t = (0..m)
+                    .find(|&t| !model.corrupt_lane(tapes, vote_site(t, u), u, lane))
+                    .expect("an adopting phase has a clean transmission");
+                phase * m + t + 1
+            }
+            _ => (phase + 1) * m,
+        }
+    }
+
+    /// Scalar replay of lane `lane` of batched block `block_seed` under
+    /// an arbitrary [`FaultModel`]. Each phase counts the corrupt
+    /// transmissions of the parent's `m` rounds (one model coin per
+    /// round at site `(t << 32) | u`, shared by the whole sibling set —
+    /// the trait engines draw one fault coin per transmitter per round)
+    /// and applies the child-side rule of the model's
+    /// [`CorruptionKind`]:
+    ///
+    /// * `Silent` — the child hears iff some transmission survives, and
+    ///   inherits the parent's value (omission semantics on arbitrary,
+    ///   e.g. placed, fault sites);
+    /// * `Flip` — all `m` bits arrive, `k` of them inverted; the
+    ///   majority vote keeps a true parent's value iff `k < m − ⌊m/2⌋`
+    ///   and fabricates truth from a false parent iff `k ≥ ⌊m/2⌋ + 1`
+    ///   (Theorem 2.3's opposite-behavior adversary);
+    /// * `Lie` — corrupt rounds deliver the constant lie `false`, so
+    ///   only a true parent with `k < m − ⌊m/2⌋` convinces the vote
+    ///   (Theorem 2.4's radio adversary under the limited clamp).
+    ///
+    /// I.i.d. `Silent` instances delegate to [`run_lane`](Self::run_lane)
+    /// and stay byte-identical with the omission kernel. The outcome's
+    /// `correct` set holds the nodes whose final value is the source
+    /// bit: under malicious corruption a node can be informed yet
+    /// *wrong*, and only correct nodes count toward completion and the
+    /// almost-complete crossing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
+    /// segment cannot be read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane ≥ 64`.
+    pub fn run_lane_model<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        lane: u32,
+    ) -> Result<FastSimpleOutcome, ShardError> {
+        assert!((lane as usize) < LANES, "lane out of range");
+        if model.kind() == CorruptionKind::Silent {
+            if let Some(p) = model.iid_rate() {
+                return self.run_lane(p, block_seed, lane);
+            }
+        }
+        let tapes = FaultTapes::new(block_seed);
+        let bit: LaneMask = 1u64 << lane;
+        let mut k = LaneCounter::new();
+        let n = self.n;
+        let mut informed = InformedSet::new(n);
+        let mut correct = InformedSet::new(n);
+        informed.insert(self.source);
+        correct.insert(self.source);
+        let almost_target = n.saturating_sub(1).max(1);
+        let mut almost_round = (correct.count() >= almost_target).then_some(0);
+        let mut last_adoption = 0usize;
+
+        self.walk(|phase, u, kids| {
+            if kids.is_empty() || !informed.contains(u) {
+                return;
+            }
+            let val = if correct.contains(u) { bit } else { 0 };
+            let (inf_eff, val_eff) = self.resolve_phase(model, &tapes, &mut k, u, bit, val);
+            if inf_eff == 0 {
+                return;
+            }
+            for &c in kids {
+                informed.insert(c);
+                if val_eff != 0 {
+                    correct.insert(c);
+                }
+            }
+            if val_eff != 0 {
+                let round = self.model_round(model, &tapes, phase, lane);
+                last_adoption = round;
+                if almost_round.is_none() && correct.count() >= almost_target {
+                    almost_round = Some(round);
+                }
+            }
+        })?;
+
+        Ok(FastSimpleOutcome {
+            n,
+            m: self.m,
+            almost_round,
+            last_adoption,
+            correct,
+        })
+    }
+
+    /// Runs all 64 trial lanes of block `block_seed` under an arbitrary
+    /// [`FaultModel`]: per phase, one bit-sliced corruption count over
+    /// the `m` transmission coins resolves every lane's majority vote
+    /// at once. Lane `k` of the result is byte-identical to
+    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`;
+    /// i.i.d. `Silent` instances delegate to
+    /// [`run_batch`](Self::run_batch).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
+    /// segment cannot be read.
+    pub fn run_batch_model<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+    ) -> Result<FastSimpleBatch, ShardError> {
+        if model.kind() == CorruptionKind::Silent {
+            if let Some(p) = model.iid_rate() {
+                return self.run_batch(p, block_seed);
+            }
+        }
+        let tapes = FaultTapes::new(block_seed);
+        let n = self.n;
+        let mut informed_masks: Vec<LaneMask> = vec![0; n];
+        let mut value_masks: Vec<LaneMask> = vec![0; n];
+        informed_masks[self.source as usize] = !0;
+        value_masks[self.source as usize] = !0;
+        let mut counts = LaneCounter::new();
+        counts.add_masked(!0, 1);
+        let mut almost = AlmostCrossing::new(n);
+        let mut last = LastPhase::new();
+        let mut k = LaneCounter::new();
+
+        self.walk(|phase, u, kids| {
+            let act = informed_masks[u as usize];
+            if kids.is_empty() || act == 0 {
+                return;
+            }
+            let val = value_masks[u as usize];
+            let (inf_eff, val_eff) = self.resolve_phase(model, &tapes, &mut k, u, act, val);
+            if inf_eff == 0 {
+                return;
+            }
+            for &c in kids {
+                informed_masks[c as usize] = inf_eff;
+                value_masks[c as usize] = val_eff;
+            }
+            counts.add_masked(val_eff, kids.len() as u64);
+            last.record(val_eff, phase);
+            almost.record(&counts, phase);
+        })?;
+
+        let (adopted, last_phase) = last.finish();
+        let mut last_adoption = vec![0usize; LANES];
+        let mut almost_round = almost.rounds;
+        for lane in 0..LANES as u32 {
+            let li = lane as usize;
+            if adopted >> lane & 1 == 1 {
+                last_adoption[li] = self.model_round(model, &tapes, last_phase[li] as usize, lane);
+            }
+            if almost.done >> lane & 1 == 1 && almost_round[li].is_none() {
+                almost_round[li] =
+                    Some(self.model_round(model, &tapes, almost.phase[li] as usize, lane));
+            }
+        }
+
+        Ok(FastSimpleBatch {
+            n,
+            m: self.m,
+            correct: BatchedInformedSet::from_parts(value_masks, counts),
             almost_round,
             last_adoption,
         })

@@ -297,13 +297,6 @@ impl CsrGraph {
         CsrGraph { offsets, targets }
     }
 
-    /// Consumes the graph into its `(offsets, targets)` CSR arrays, so
-    /// engines that own their adjacency can take it without copying.
-    #[must_use]
-    pub fn into_raw_parts(self) -> (Vec<u32>, Vec<u32>) {
-        (self.offsets, self.targets)
-    }
-
     /// The BFS spanning structure rooted at `source`: level order and
     /// per-parent child lists over the source's component only, so the
     /// graph may be disconnected.

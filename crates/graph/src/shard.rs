@@ -984,18 +984,6 @@ impl DiskShards {
         self.entry_count
     }
 
-    /// Adjacency entries of the largest shard — the resident-set
-    /// high-water contribution of shard streaming.
-    #[must_use]
-    pub fn max_shard_entries(&self) -> u64 {
-        self.catalog
-            .metas
-            .iter()
-            .map(|m| m.entries)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Reads segment `s` into `scratch` and returns its view.
     ///
     /// # Errors
@@ -1907,7 +1895,6 @@ mod tests {
         let disk = sink.finalize().expect("finalize");
         assert_eq!(disk.node_count(), n);
         assert_eq!(disk.edge_count() as usize, reference.edge_count());
-        assert!(disk.max_shard_entries() > 0);
         let mut scratch = ShardScratch::new();
         for s in 0..disk.plan().shard_count() {
             let view = disk.load(s, &mut scratch).expect("load");
