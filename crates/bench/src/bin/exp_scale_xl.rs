@@ -25,7 +25,9 @@
 //!    `finalize` counting-sorts it into per-shard CSR segment files,
 //!    and the kernels replay trials loading one segment at a time
 //!    (with `--prefetch on`, the default, a background reader overlaps
-//!    the next segment's read with the current shard's compute).
+//!    the next segment's read with the current shard's compute; the
+//!    knob reaches the kernels' passes only — `ShardedBfsTree::build`
+//!    always reads through the prefetcher).
 //!    `--store ram` splits the same edge stream in memory
 //!    ([`ShardStore::Ram`]) — the in-core control arm of CI's
 //!    Ram-vs-Disk determinism gate, which diffs the normalized JSON of

@@ -54,6 +54,7 @@ pub const USAGE: &str =
   --prefetch V   `on` (default) overlaps the next segment read with the
                  current shard's compute in the out-of-core trials;
                  `off` loads segments synchronously; outcome-neutral
+                 (the sharded BFS tree build always prefetches)
   --sweep-only   run only the sweep part of binaries with an extra
                  out-of-core part (CI's speedup probe times the sweep
                  without paying for the 10^8 trials)

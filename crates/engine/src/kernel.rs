@@ -33,6 +33,8 @@
 //! batched run and a scalar lane replay testable — both read the very
 //! same words (`crates/core/tests/batch_equivalence.rs` pins it).
 
+use std::cmp::Reverse;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -2012,16 +2014,23 @@ impl WorstCasePlacement {
     }
 
     /// Pins the top-`⌈frac · (n − 1)⌉` non-source nodes by
-    /// `(weight desc, id asc)`.
+    /// `(weight desc, id asc)`. Only the pinned *set* matters, so a
+    /// linear-time selection on materialized keys replaces a full sort;
+    /// the key is a strict total order, so the set is the same.
     fn place_by_weights(&mut self, weights: &[u64], source: u32) {
         let n = weights.len();
         self.placed = vec![0u64; n.div_ceil(64)];
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let budget = (self.frac * n.saturating_sub(1) as f64).ceil() as usize;
-        let mut ranked: Vec<u32> = (0..n as u32).filter(|&v| v != source).collect();
-        ranked.sort_unstable_by_key(|&v| (std::cmp::Reverse(weights[v as usize]), v));
+        let mut ranked: Vec<(Reverse<u64>, u32)> = (0..n as u32)
+            .filter(|&v| v != source)
+            .map(|v| (Reverse(weights[v as usize]), v))
+            .collect();
         self.placed_count = budget.min(ranked.len());
-        for &v in &ranked[..self.placed_count] {
+        if self.placed_count < ranked.len() {
+            ranked.select_nth_unstable(self.placed_count);
+        }
+        for &(_, v) in &ranked[..self.placed_count] {
             self.placed[v as usize / 64] |= 1u64 << (v % 64);
         }
     }
@@ -2635,5 +2644,35 @@ mod tests {
         all.preprocess_tree(&child_offsets, &children, &order, 0);
         assert_eq!(all.placed_count(), 6);
         assert!(!all.is_placed(0), "source never pinned");
+    }
+
+    #[test]
+    fn placement_selection_matches_the_full_sort() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for n in [1usize, 2, 3, 64, 1000] {
+            // Weights from a small range, so ties are common.
+            let weights: Vec<u64> = (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (x >> 33) % 7
+                })
+                .collect();
+            let source = (n / 3) as u32;
+            for frac in [0.0, 0.001, 0.3, 0.5, 0.999, 1.0] {
+                let mut m = WorstCasePlacement::new(frac, CorruptionKind::Flip);
+                m.place_by_weights(&weights, source);
+                let mut ranked: Vec<u32> = (0..n as u32).filter(|&v| v != source).collect();
+                ranked.sort_unstable_by_key(|&v| (Reverse(weights[v as usize]), v));
+                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+                let budget = ((frac * (n - 1) as f64).ceil() as usize).min(ranked.len());
+                assert_eq!(m.placed_count(), budget, "n={n} frac={frac}");
+                for (i, &v) in ranked.iter().enumerate() {
+                    assert_eq!(m.is_placed(v), i < budget, "n={n} frac={frac} v={v}");
+                }
+                assert!(!m.is_placed(source));
+            }
+        }
     }
 }

@@ -557,6 +557,10 @@ pub fn default_scratch_dir() -> PathBuf {
 /// cut-edge lists of the on-disk format. `finalize` then counting-sorts
 /// each bucket into a rebased CSR segment file, in ascending shard
 /// order, holding only one shard's adjacency in RAM at a time.
+///
+/// The sink owns its scratch directory until `finalize` succeeds and
+/// hands it to the returned [`DiskShards`]; a sink dropped before that
+/// (a failed spill, a failed `finalize`) removes the directory.
 pub struct SpillSink {
     plan: ShardPlan,
     dir: PathBuf,
@@ -601,18 +605,20 @@ impl SpillSink {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let k = plan.shard_count();
-        let mut writers = Vec::with_capacity(k);
-        for s in 0..k {
-            let file = File::create(dir.join(format!("spill_{s}.bin")))?;
-            writers.push(BufWriter::new(file));
-        }
-        Ok(SpillSink {
+        // Built before the buckets so a failed create is cleaned up by
+        // the sink's own drop.
+        let mut sink = SpillSink {
             plan,
             dir,
-            writers,
+            writers: Vec::with_capacity(k),
             half_edges: vec![0; k],
             directed,
-        })
+        };
+        for s in 0..k {
+            let file = File::create(sink.dir.join(format!("spill_{s}.bin")))?;
+            sink.writers.push(BufWriter::new(file));
+        }
+        Ok(sink)
     }
 
     /// The shard plan the sink spills along.
@@ -677,25 +683,38 @@ impl SpillSink {
     /// # Errors
     ///
     /// Returns [`ShardError`] on IO failure or if a shard's adjacency
-    /// overflows the `u32` offset range.
-    pub fn finalize(self) -> Result<DiskShards, ShardError> {
-        let SpillSink {
-            plan,
-            dir,
-            writers,
-            half_edges,
-            directed: _,
-        } = self;
-        for w in writers {
+    /// overflows the `u32` offset range. On failure the scratch
+    /// directory — spill buckets and any segments already written — is
+    /// removed.
+    pub fn finalize(mut self) -> Result<DiskShards, ShardError> {
+        let (metas, entry_count) = self.write_segments()?;
+        Ok(DiskShards {
+            catalog: SegmentCatalog {
+                plan: self.plan.clone(),
+                // The finalized store owns (and removes) the directory
+                // from here on; the emptied path disarms the sink's drop.
+                dir: mem::take(&mut self.dir),
+                metas,
+            },
+            entry_count,
+        })
+    }
+
+    /// The body of [`finalize`](Self::finalize): every bucket becomes a
+    /// segment file. Returns the per-segment metadata and the total
+    /// entry count.
+    fn write_segments(&mut self) -> Result<(Vec<SegmentMeta>, u64), ShardError> {
+        for w in self.writers.drain(..) {
             w.into_inner()
                 .map_err(|e| io::Error::other(e.to_string()))?
                 .sync_all()?;
         }
+        let (plan, dir) = (&self.plan, &self.dir);
         let k = plan.shard_count();
         let mut metas = Vec::with_capacity(k);
         let mut scratch = ShardScratch::new();
         let mut total_entries = 0u64;
-        for (s, &shard_half_edges) in half_edges.iter().enumerate().take(k) {
+        for (s, &shard_half_edges) in self.half_edges.iter().enumerate().take(k) {
             let (start, end) = plan.range(s);
             let rows = (end - start) as usize;
             let spill = dir.join(format!("spill_{s}.bin"));
@@ -779,10 +798,18 @@ impl SpillSink {
                 source,
             })?;
         }
-        Ok(DiskShards {
-            catalog: SegmentCatalog { plan, dir, metas },
-            entry_count: total_entries,
-        })
+        Ok((metas, total_entries))
+    }
+}
+
+impl Drop for SpillSink {
+    /// An unfinalized sink (dropped mid-spill, or by a failed
+    /// `finalize`) removes its scratch directory: nothing else will.
+    fn drop(&mut self) {
+        if !self.dir.as_os_str().is_empty() {
+            self.writers.clear();
+            let _ = fs::remove_dir_all(&self.dir);
+        }
     }
 }
 
@@ -1630,21 +1657,32 @@ impl PassView<'_> {
 ///
 /// * In FIFO BFS every discoverer of a level-`L + 1` node is a level-`L`
 ///   node, and the recorded parent is the *first* FIFO discoverer —
-///   equivalently, the level-`L` neighbor of minimum FIFO rank. The
-///   level-synchronous sharded sweep keeps per-node FIFO ranks and
-///   resolves each discovered node's parent to the minimum-rank
-///   discoverer across all shard passes, which is order-independent.
+///   equivalently, the level-`L` neighbor of minimum FIFO rank.
+/// * One `u32` state word per node carries the sweep: unseen, a
+///   candidate (flag bit plus the minimum FIFO rank of its discoverers
+///   so far), or settled (its FIFO rank within its own level, always
+///   below any flagged word). Scanning an adjacency entry is one read
+///   and one compare; the minimum is order-independent, so the shards
+///   and rows may be scanned in any order.
 /// * The FIFO order of level `L + 1` is "nodes grouped by their
 ///   parent's FIFO rank, ascending id within a group" (CSR rows are
-///   sorted), so ranks for the next level are assigned by sorting the
-///   discovered set by `(rank(parent), id)`.
+///   sorted), so the next level's ranks come from sorting packed
+///   `(parent rank << 32) | id` keys. The sorted level doubles as the
+///   rank → id map that names the parent of each child one level down.
 /// * The final enumeration sorts each level by id, and the per-parent
 ///   child lists come out ascending — exactly what
 ///   [`SpillSink::finalize`]'s per-row sort produces from the directed
 ///   `(parent, child)` spill.
 ///
+/// Each level's frontier is scanned in id order, shard by shard (the
+/// level's slice of the enumeration, cut at the plan bounds), through a
+/// [`PassLoader`] with prefetch always on: disk stores get their next
+/// full segment read in the background and thin levels read only their
+/// rows. So `--prefetch` governs the kernels' passes, not this build.
+///
 /// `crates/graph` pins the equivalence against [`CsrGraph::bfs_tree`]
-/// on random graphs for both store backends.
+/// on random graphs for both store backends, with sources whose levels
+/// take the sparse and the prefetched read paths.
 pub struct ShardedBfsTree {
     order: Vec<u32>,
     children: DiskShards,
@@ -1655,9 +1693,14 @@ impl ShardedBfsTree {
     /// Runs the sharded BFS over `store`'s adjacency from `source` and
     /// finalizes the child lists into directed segments under `dir`.
     ///
-    /// Peak RSS during the build is two `u32` words per node (parent
-    /// and FIFO rank, dropped on return) plus the order, one shard's
-    /// adjacency, and the current level's frontier.
+    /// Resident per node during the build: the state word, the order,
+    /// and at most one word of the sparse loader's row-offset index —
+    /// three `u32` words, as many as the parent/rank/order arrays it
+    /// replaced. On top come the frontier level's FIFO ids (4 bytes
+    /// each), the next level's sort keys (8 bytes each) and two
+    /// segments in the prefetch pipeline. Everything but the order is
+    /// dropped before the child lists are finalized. If the build fails,
+    /// the child spill under `dir` is removed.
     ///
     /// # Errors
     ///
@@ -1666,75 +1709,95 @@ impl ShardedBfsTree {
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range.
+    /// Panics if `source` is out of range, or if one BFS level holds
+    /// 2³¹ or more nodes (the rank no longer fits beside the flag bit).
     pub fn build(
         store: &ShardStore,
         source: u32,
         dir: impl AsRef<Path>,
     ) -> Result<Self, ShardError> {
-        let plan = store.plan().clone();
+        let plan = store.plan();
         let n = plan.node_count();
         assert!((source as usize) < n, "source out of range");
-        let k = plan.shard_count();
-        const UNSET: u32 = u32::MAX;
+        let bounds = plan.bounds();
+        // A settled node's word is its FIFO rank within its own level
+        // (always below `CANDIDATE`); a candidate's is `CANDIDATE | r`
+        // with `r` its minimum discoverer's rank; `UNSEEN` sorts above
+        // every candidate, so one `>` decides "discover or improve".
+        const CANDIDATE: u32 = 1 << 31;
+        const UNSEEN: u32 = u32::MAX;
 
         let mut sink = SpillSink::create_directed(dir, plan.clone())?;
-        let mut scratch = ShardScratch::new();
-        let mut parent = vec![UNSET; n];
-        let mut rank = vec![UNSET; n];
-        parent[source as usize] = source;
-        rank[source as usize] = 0;
-        let mut next_rank = 1u32;
+        let mut state = vec![UNSEEN; n];
+        state[source as usize] = 0;
         let mut order: Vec<u32> = vec![source];
+        // The frontier level's ids in FIFO (rank) order: a candidate's
+        // rank resolves to its parent id here.
+        let mut fifo: Vec<u32> = vec![source];
+        // The next level as `(parent rank << 32) | id` sort keys.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut level_start = 0usize;
+        let mut loader = PassLoader::new(store, true);
 
-        let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
-        frontier[plan.shard_of(source)].push(source);
-        let mut discovered: Vec<u32> = Vec::new();
-
-        while frontier.iter().any(|l| !l.is_empty()) {
-            discovered.clear();
-            for (s, list) in frontier.iter().enumerate() {
-                if list.is_empty() {
+        loop {
+            // `order` holds each level sorted by id and shards are
+            // contiguous id ranges, so shard `s`'s frontier rows are the
+            // slice between these cuts.
+            let frontier = &order[level_start..];
+            let cuts: Vec<usize> = bounds
+                .iter()
+                .map(|&b| frontier.partition_point(|&v| v < b))
+                .collect();
+            loader.begin_rows_pass(|s| cuts[s + 1] - cuts[s]);
+            for (s, cut) in cuts.windows(2).enumerate() {
+                let rows = &frontier[cut[0]..cut[1]];
+                if rows.is_empty() {
                     continue;
                 }
-                let view = store.view(s, &mut scratch)?;
-                for &u in list {
+                let view = loader.view_pass(s, rows)?;
+                for &u in rows {
+                    let claim = CANDIDATE | state[u as usize];
                     for &v in view.targets_of(u) {
-                        let vi = v as usize;
-                        if rank[vi] != UNSET {
-                            continue; // settled at this level or above
-                        }
-                        if parent[vi] == UNSET {
-                            parent[vi] = u;
-                            discovered.push(v);
-                        } else if rank[parent[vi] as usize] > rank[u as usize] {
-                            parent[vi] = u;
+                        let word = &mut state[v as usize];
+                        if *word > claim {
+                            if *word == UNSEEN {
+                                keys.push(u64::from(v));
+                            }
+                            *word = claim;
                         }
                     }
                 }
             }
-            for list in &mut frontier {
-                list.clear();
-            }
-            if discovered.is_empty() {
+            if keys.is_empty() {
                 break;
             }
+            assert!(
+                keys.len() < CANDIDATE as usize,
+                "a BFS level of 2^31 or more nodes exceeds the rank word"
+            );
             // FIFO order of the next level: discoverers ascend by rank,
             // ids ascend within one discoverer's sorted adjacency row.
-            discovered.sort_unstable_by_key(|&v| (rank[parent[v as usize] as usize], v));
-            for &v in &discovered {
-                rank[v as usize] = next_rank;
-                next_rank += 1;
-                sink.push(u64::from(parent[v as usize]), u64::from(v))?;
-                frontier[plan.shard_of(v)].push(v);
+            for key in &mut keys {
+                *key |= u64::from(state[*key as usize] & !CANDIDATE) << 32;
             }
-            let level_start = order.len();
-            order.extend_from_slice(&discovered);
+            keys.sort_unstable();
+            for (rank, &key) in keys.iter().enumerate() {
+                let v = key as u32;
+                state[v as usize] = rank as u32;
+                sink.push(u64::from(fifo[(key >> 32) as usize]), u64::from(v))?;
+            }
+            fifo.clear();
+            fifo.extend(keys.iter().map(|&key| key as u32));
+            keys.clear();
+            level_start = order.len();
+            order.extend_from_slice(&fifo);
             order[level_start..].sort_unstable();
         }
 
-        drop(parent);
-        drop(rank);
+        drop(loader);
+        drop(state);
+        drop(fifo);
+        drop(keys);
         let children = sink.finalize()?;
         let reachable = order.len();
         Ok(ShardedBfsTree {
@@ -1999,6 +2062,116 @@ mod tests {
         let tree = ShardedBfsTree::build(&disk, 0, default_scratch_dir()).expect("build");
         assert_eq!(tree.order(), reference.order());
         assert_eq!(tree.reachable(), 100);
+    }
+
+    /// Asserts `tree` equals the in-RAM `reference`: order, reach, and
+    /// every child row.
+    fn assert_tree_matches(tree: &ShardedBfsTree, reference: &crate::CsrTree, what: &str) {
+        assert_eq!(tree.order(), reference.order(), "order diverged: {what}");
+        assert_eq!(tree.reachable(), reference.order().len(), "reach: {what}");
+        let (offsets, children) = reference.clone().into_children_csr();
+        let mut scratch = ShardScratch::new();
+        for s in 0..tree.children().plan().shard_count() {
+            let view = tree.children().load(s, &mut scratch).expect("load");
+            for v in view.start()..view.end() {
+                let (lo, hi) = (
+                    offsets[v as usize] as usize,
+                    offsets[v as usize + 1] as usize,
+                );
+                assert_eq!(
+                    view.targets_of(v),
+                    &children[lo..hi],
+                    "children of {v} diverged: {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_bfs_tree_matches_across_sparse_and_prefetched_levels() {
+        // Large enough that the thin first and last levels take the
+        // sparse row path (fewer than rows/256 rows of a shard) and the
+        // wide middle levels take prefetched full segments.
+        let n = 20_000usize;
+        let isolated = 12_345u32;
+        let edges: Vec<(u32, u32)> = chord_edges(n as u32)
+            .into_iter()
+            .filter(|&(u, v)| u != isolated && v != isolated)
+            .collect();
+        let csr = CsrGraph::from_edges(n, &edges);
+        for k in [1usize, 2, 3, 7] {
+            let plan = ShardPlan::uniform(n, k);
+            let ram = ShardStore::Ram(ShardedCsr::split(&csr, plan.clone()));
+            let mut sink = SpillSink::create(default_scratch_dir(), plan.clone()).expect("sink");
+            for &(u, v) in &edges {
+                sink.push(u as u64, v as u64).expect("push");
+            }
+            let disk = ShardStore::Disk(sink.finalize().expect("finalize"));
+            let (mid_lo, mid_hi) = plan.range(k / 2);
+            for source in [0, (mid_lo + mid_hi) / 2, n as u32 - 1, isolated] {
+                let reference = csr.bfs_tree(source);
+                for (store, name) in [(&ram, "ram"), (&disk, "disk")] {
+                    let tree =
+                        ShardedBfsTree::build(store, source, default_scratch_dir()).expect("build");
+                    assert_tree_matches(&tree, &reference, &format!("{name} k={k} src={source}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_tree_build_removes_its_scratch() {
+        let store = disk_store(120, 3);
+        let ShardStore::Disk(d) = &store else {
+            unreachable!()
+        };
+        // Segment 1 is announced before it is read, so the prefetch
+        // thread is the reader that hits the truncation.
+        let seg = d.catalog.seg_path(1);
+        let len = fs::metadata(&seg).expect("metadata").len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&seg)
+            .expect("open")
+            .set_len(len - 4)
+            .expect("truncate");
+        let dir = default_scratch_dir();
+        match ShardedBfsTree::build(&store, 0, &dir).map(|_| ()) {
+            Err(ShardError::SegmentTruncated { shard: 1, path }) => assert_eq!(path, seg),
+            other => panic!("expected SegmentTruncated, got {other:?}"),
+        }
+        assert!(
+            !dir.exists(),
+            "tree scratch left behind at {}",
+            dir.display()
+        );
+    }
+
+    #[test]
+    fn failed_finalize_removes_buckets_and_written_segments() {
+        let dir = default_scratch_dir();
+        let mut sink = SpillSink::create(&dir, ShardPlan::uniform(40, 3)).expect("create sink");
+        for &(u, v) in &ring_edges(40) {
+            sink.push(u as u64, v as u64).expect("push");
+        }
+        // Segment 0 gets written before the missing bucket 1 is opened.
+        fs::remove_file(dir.join("spill_1.bin")).expect("remove bucket");
+        match sink.finalize().map(|_| ()) {
+            Err(ShardError::SegmentIo {
+                shard: 1,
+                path,
+                source,
+            }) => {
+                assert_eq!(source.kind(), io::ErrorKind::NotFound);
+                assert!(path.ends_with("spill_1.bin"));
+            }
+            other => panic!("expected SegmentIo(NotFound), got {other:?}"),
+        }
+        assert!(
+            !dir.exists(),
+            "spill scratch left behind at {}",
+            dir.display()
+        );
     }
 
     #[test]
